@@ -18,13 +18,25 @@ Numerics notes, all load-bearing:
   pieces at the crossovers and, while in the 1/t band, limits each internal
   substep to a fixed fraction of elapsed time (geometric refinement toward
   the onset). Output samples stay on the uniform grid; the refinement is a
-  deterministic function of the schedule parameters only.
+  deterministic function of the schedule parameters only. A constant
+  coefficient k splits an output step into equal substeps with k*h/t_j
+  within RK4's stability bound.
+* One dispatch (_select_kernel) picks the loop. Under RK4, NoControl,
+  ConstantDroop and Vdic themselves (not subclasses) run a kernel from the
+  kernels module, specialised to a constant coefficient or to the inline
+  clamp(T/t, L, U), with the governor on or off. A kernel does the
+  floating-point operations of the generic loop in the same order, so its
+  traces are bit-identical to the generic loop's; tests pin the sha256 of
+  the output bits. Custom Controller subclasses and integrator="euler"
+  take the generic loop, which calls controller.coefficient at each stage.
+* A non-finite state is reported as the first non-finite output sample.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -95,57 +107,6 @@ def _roster_check(model: SystemModel, controller: Controller) -> None:
         )
 
 
-def _piece_planner(controller: Controller, t_j: float, rk4: bool):
-    """Return a generator function yielding (start, length) substeps covering
-    an interval of elapsed time. Plans depend only on controller parameters,
-    so identical inputs always produce identical stepping."""
-    stability = 2.0 if rk4 else 1.0
-    if isinstance(controller, Vdic):
-        sch = controller.schedule
-        t_sat = sch.saturation_end
-        t_floor = sch.floor_start
-        cap_sat = _SAT_STEP_LIMIT * t_j / sch.upper_bound
-        cap_floor = stability * t_j / sch.lower_bound
-        q = _BAND_STEP_FRACTION
-
-        def pieces(a: float, b: float):
-            t = a
-            while t < b:
-                if t < t_sat:
-                    h = min(b - t, t_sat - t, cap_sat)
-                elif t < t_floor:
-                    h = min(b - t, t_floor - t, q * t)
-                else:
-                    h = min(b - t, cap_floor)
-                if b - (t + h) < 1e-15 * b:
-                    h = b - t
-                yield t, h
-                t = t + h
-
-        return pieces
-
-    if isinstance(controller, ConstantDroop) and controller.k_total > 0.0:
-        cap = stability * t_j / controller.k_total
-
-        def pieces(a: float, b: float):
-            if b - a <= cap:
-                yield a, b - a
-                return
-            m = math.ceil((b - a) / cap)
-            h = (b - a) / m
-            t = a
-            for _ in range(m):
-                yield t, h
-                t = t + h
-
-        return pieces
-
-    def pieces(a: float, b: float):
-        yield a, b - a
-
-    return pieces
-
-
 def simulate(model: SystemModel, event: ImbalanceEvent, controller: Controller,
              config: SimConfig, governor: GovernorSpec | None = None) -> Trace:
     """Integrate the swing equation under the given controller.
@@ -169,17 +130,91 @@ def simulate(model: SystemModel, event: ImbalanceEvent, controller: Controller,
     omega = np.zeros(n + 1)
     gov_series = np.zeros(n + 1)
 
-    t_j = model.total_inertia
-    dpf = event.delta_pf
-    g = gov.droop_gain if gov.enabled else 0.0
-    tg = gov.time_constant if gov.enabled else 1.0
-    coef = controller.coefficient
-    rk4 = config.integrator == "rk4"
-    pieces = _piece_planner(controller, t_j, rk4)
+    t_j = float(model.total_inertia)
+    g = float(gov.droop_gain) if gov.enabled else 0.0
+    tg = float(gov.time_constant) if gov.enabled else 1.0
+    kernel = _select_kernel(controller, t_j, config.integrator == "rk4", gov.enabled)
+    kernel(elapsed, i_first, omega, gov_series, float(event.delta_pf), t_j, g, tg)
 
+    finite = np.isfinite(omega) & np.isfinite(gov_series)
+    if not finite.all():
+        j = int(np.argmin(finite))
+        raise SimulationDivergedError(
+            f"non-finite state at sample {j} (t = {times[j]:.6g} s); "
+            "check controller parameters", j
+        )
+    return _assemble_trace(model, event, controller, times, elapsed, omega, gov_series)
+
+
+def _select_kernel(controller: Controller, t_j: float, rk4: bool, governed: bool):
+    """The integration loop for this run, as a callable
+    (elapsed, i_first, omega, gov_series, delta_pf, t_j, gain, time_constant)
+    that fills omega and gov_series from sample i_first on.
+
+    Built-in controllers fix the substep plan; exactly-typed built-ins under
+    RK4 get a specialised kernel, everything else the generic loop."""
+    # imported here so that commands which never integrate, such as
+    # estimate, do not compile it at start-up
+    from . import kernels
+
+    stability = 2.0 if rk4 else 1.0
+    if isinstance(controller, Vdic):
+        sch = controller.schedule
+        plan = (sch.saturation_end, sch.floor_start, _SAT_STEP_LIMIT * t_j / sch.upper_bound,
+                stability * t_j / sch.lower_bound, _BAND_STEP_FRACTION)
+        if rk4 and type(controller) is Vdic:
+            kernel = kernels.rk4_vdic_governed if governed else kernels.rk4_vdic
+            return partial(kernel, float(sch.target_inertia), float(sch.upper_bound),
+                           float(sch.lower_bound), *plan)
+        pieces = partial(_vdic_pieces, *plan)
+    else:
+        k = float(controller.k_total) if isinstance(controller, ConstantDroop) else 0.0
+        cap = stability * t_j / k if k > 0.0 else math.inf
+        if rk4 and type(controller) in (ConstantDroop, NoControl):
+            kernel = kernels.rk4_constant_governed if governed else kernels.rk4_constant
+            return partial(kernel, k, cap)
+        pieces = partial(_uniform_pieces, cap)
+    return partial(_generic, controller.coefficient, pieces, rk4)
+
+
+def _uniform_pieces(cap: float, a: float, b: float):
+    """(start, length) substeps splitting [a, b] into equal pieces no longer
+    than cap."""
+    if b - a <= cap:
+        yield a, b - a
+        return
+    m = math.ceil((b - a) / cap)
+    h = (b - a) / m
+    t = a
+    for _ in range(m):
+        yield t, h
+        t = t + h
+
+
+def _vdic_pieces(t_sat: float, t_floor: float, cap_sat: float, cap_floor: float,
+                 q: float, a: float, b: float):
+    """(start, length) substeps covering [a, b] under a bounded VDIC schedule:
+    cut at the clamp crossovers, capped in the saturated and floor segments,
+    the fraction q of elapsed time in the 1/t band."""
+    t = a
+    while t < b:
+        if t < t_sat:
+            h = min(b - t, t_sat - t, cap_sat)
+        elif t < t_floor:
+            h = min(b - t, t_floor - t, q * t)
+        else:
+            h = min(b - t, cap_floor)
+        if b - (t + h) < 1e-15 * b:
+            h = b - t
+        yield t, h
+        t = t + h
+
+
+def _generic(coef, pieces, rk4, elapsed, i_first, omega, gov_series, dpf, t_j, g, tg):
+    """RK4 or explicit Euler over any controller's coefficient(elapsed)."""
     w = cw = p = cp = 0.0  # state + Kahan compensations
     a = 0.0
-    for j in range(i_first, n + 1):
+    for j in range(i_first, elapsed.size):
         b = elapsed[j]
         if b > a:
             if rk4:
@@ -224,15 +259,10 @@ def simulate(model: SystemModel, event: ImbalanceEvent, controller: Controller,
                     cp = (s - p) - y
                     p = s
             a = b
-        if not (math.isfinite(w) and math.isfinite(p)):
-            raise SimulationDivergedError(
-                f"non-finite state at sample {j} (t = {times[j]:.6g} s); "
-                "check controller parameters", j
-            )
         omega[j] = w
         gov_series[j] = p
-
-    return _assemble_trace(model, event, controller, times, elapsed, omega, gov_series)
+        if not (math.isfinite(w) and math.isfinite(p)):
+            return  # simulate reports the first non-finite sample
 
 
 def _assemble_trace(model, event, controller, times, elapsed, omega, gov_series) -> Trace:

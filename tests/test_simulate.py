@@ -1,3 +1,6 @@
+import copy
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,10 +20,13 @@ from droopinertia import (
     Vdic,
     closed_form_omega_constant_droop,
     closed_form_omega_constant_inertia,
+    load_config,
+    run_case_study,
     simulate,
     swing_derivative,
 )
-from conftest import make_model
+from droopinertia.scenario import SUBCASES, default_config_path
+from conftest import make_ffrs, make_model
 
 
 class TestSwingDerivative:
@@ -215,6 +221,20 @@ class _PoisonController(Controller):
         return 0.0
 
 
+GOVERNOR = GovernorSpec(enabled=True, droop_gain=25.0, time_constant=8.0)
+_TINY_VDIC = DroopSchedule(1e-3, 1e-6, 1e-7)
+
+# name: (t_j, controller, governor, delta_pf, onset, first non-finite sample)
+DIVERGING = {
+    "constant_droop-governor": (1e-9, ConstantDroop(1e-6), GOVERNOR, -0.3, 0.0, 54),
+    "constant_droop-governor-onset": (1e-9, ConstantDroop(1e-6), GOVERNOR, -0.3, 0.2345, 288),
+    "constant_droop-huge_imbalance": (1e-10, ConstantDroop(1e-6), None, 1e300, 0.0, 1),
+    "no_control-huge_imbalance": (1e-10, NoControl(), None, 1e300, 0.0, 1),
+    "vdic-governor-onset": (1e-9, Vdic(_TINY_VDIC), GOVERNOR, -0.3, 0.1, 128),
+    "vdic-huge_imbalance": (1e-9, Vdic(_TINY_VDIC), None, 1e300, 0.0, 1),
+}
+
+
 class TestDivergence:
     def test_nan_controller_reported_with_sample_index(self, model, event):
         cfg = SimConfig(time_step=1e-2, duration=5.0)
@@ -222,6 +242,18 @@ class TestDivergence:
             simulate(model, event, _PoisonController(), cfg)
         # first poisoned sample is just past t = 1 s
         assert err.value.sample_index == pytest.approx(101, abs=1)
+
+    @pytest.mark.parametrize("name", sorted(DIVERGING))
+    def test_builtin_overflow_reported_with_sample_index(self, name):
+        # inertia far below the governor's reach, or an imbalance near the
+        # float range, overflows every built-in kernel at a pinned sample
+        t_j, controller, governor, delta_pf, onset, index = DIVERGING[name]
+        model = SystemModel(1000.0, [GeneratorSpec(1000.0, t_j)], make_ffrs(1))
+        cfg = SimConfig(time_step=1e-3, duration=1.0)
+        with pytest.raises(SimulationDivergedError) as err:
+            simulate(model, ImbalanceEvent(delta_pf, onset), controller, cfg,
+                     governor=governor)
+        assert err.value.sample_index == index
 
 
 class TestEulerOption:
@@ -240,3 +272,173 @@ class TestEulerOption:
             ref = closed_form_omega_constant_droop(-0.3, 32.0, 39.2, trace.sample_times)
             errs.append(np.max(np.abs(trace.omega - ref)))
         assert errs[0] / errs[1] >= 8.0
+
+
+def _sha256(series: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(series, dtype="<f8").tobytes()).hexdigest()
+
+
+_BOUNDED = DroopSchedule(40.0, 128.0, 32.0)
+_UNBOUNDED = DroopSchedule(40.0, 1e12, 1e-12)
+# floor breakpoints inexact in binary: T / (T / L) rounds below L, so the
+# coefficient at the end of the last band substep comes from the clamp; the
+# scenarios using them are ones where that clamp changes omega's bits
+_INEXACT = (DroopSchedule(37.3, 111.1, 13.7), DroopSchedule(56.9, 123.7, 24.6))
+_STEP_1MS = SimConfig(time_step=1e-3, duration=3.0)
+# k * dt = 80 > 2 * t_j = 78.4: every output step splits into two substeps
+_MULTIPIECE = (make_ffrs(4, cap=2000.0), ConstantDroop(8000.0), SimConfig(1e-2, 5.0))
+
+# name: () -> (model, event, controller, config, governor)
+GOLDEN_CASES = {
+    "no_control-x4": lambda: (
+        make_model(), ImbalanceEvent(-0.3), NoControl(), _STEP_1MS, None),
+    "added_inertia-governor-onset-x1": lambda: (
+        make_model(make_ffrs(1, cap=128.0)).with_added_inertia(40.0),
+        ImbalanceEvent(-0.3, 1.25), NoControl(), _STEP_1MS, GOVERNOR),
+    "constant_droop-onset-x16": lambda: (
+        make_model(make_ffrs(16, cap=8.0)), ImbalanceEvent(0.2, 0.5),
+        ConstantDroop(100.0), _STEP_1MS, None),
+    "constant_droop-governor-x4": lambda: (
+        make_model(), ImbalanceEvent(-0.3), ConstantDroop(32.0), _STEP_1MS, GOVERNOR),
+    "constant_droop-multipiece-x4": lambda: (
+        make_model(_MULTIPIECE[0]), ImbalanceEvent(-0.3), _MULTIPIECE[1], _MULTIPIECE[2], None),
+    "constant_droop-multipiece-governor-onset-x4": lambda: (
+        make_model(_MULTIPIECE[0]), ImbalanceEvent(-0.3, 0.123), _MULTIPIECE[1],
+        _MULTIPIECE[2], GOVERNOR),
+    "vdic-x4": lambda: (
+        make_model(), ImbalanceEvent(-0.3), Vdic(_BOUNDED), _STEP_1MS, None),
+    "vdic-governor-onset-x16": lambda: (
+        make_model(make_ffrs(16, cap=8.0)), ImbalanceEvent(-0.3, 0.7775),
+        Vdic(_BOUNDED), _STEP_1MS, GOVERNOR),
+    "vdic_inexact-x4": lambda: (
+        make_model(), ImbalanceEvent(-0.4), Vdic(_INEXACT[1]), _STEP_1MS, None),
+    "vdic_inexact-governor-onset-x4": lambda: (
+        make_model(), ImbalanceEvent(-0.15, 0.3247), Vdic(_INEXACT[0]),
+        SimConfig(1e-3, 3.5), GOVERNOR),
+    "vdic_unbounded-x1": lambda: (
+        make_model([FfrSpec("agg", 1e12, 1.0, 1.0)]), ImbalanceEvent(-0.3),
+        Vdic(_UNBOUNDED), _STEP_1MS, None),
+    "vdic_unbounded-governor-onset-x4": lambda: (
+        make_model(make_ffrs(4, cap=2.5e11, margin=1.0)), ImbalanceEvent(-0.3, 0.3),
+        Vdic(_UNBOUNDED), _STEP_1MS, GOVERNOR),
+}
+
+# name: (sha256 of omega, sha256 of rocof), float64 little-endian bytes
+GOLDEN = {
+    "bundled-no_control": (
+        "34af4b83e68e73c98bd434b58667a3bb1a3b46de77b73a628bb6f12a85322173",
+        "660c41168a6ff4c3c4131dedbd5e4e64fd51eba38a54bc5427c790e25f43bc91"),
+    "bundled-added_inertia": (
+        "4da44042a8a104258930aa831b273ef045cb6396e03309f7e14cfc3b1a1fda0f",
+        "1c2acfed34d7ff2ec2ac507cee73428002e51f8f1ef869496ee9e1daca199854"),
+    "bundled-constant_droop": (
+        "d6aa14f08de1511f8cf56bba98a00c2a7157bbe8945d6c18696225ec3e003aac",
+        "b51cdbe6ef1fe4a5902790000eba9097b7ad8cb3920ace200e7a38174dd24deb"),
+    "bundled-vdic": (
+        "402e2607d4742c2883d5fe1c70e2ee3697be3cb9db9bccbae24b496ab5cf354a",
+        "3873795ed8a9b2bf1ed93fc4fec50feb0bc5263916610d34aa5a75e35559daea"),
+    "added_inertia-governor-onset-x1": (
+        "8a49149dd4bfe952e88544cc1407644e12abf0ae2622347e8018aeeb276ff2d5",
+        "855247f0bb355a5e415ee36c9a63318bc8bf5cf90a9066e41ecac94ee2937596"),
+    "constant_droop-governor-x4": (
+        "229e066bdb25a2615bd499392b0e14ec311d26ae2a9649d456d71aeae81a60ba",
+        "16b92e263c23857c0d31c19a832f2f06b24ed4073d7b74256daf3d5c1588a2ac"),
+    "constant_droop-multipiece-governor-onset-x4": (
+        "c284516c48615ba771ee0fd99d42f5ff42d5c043719cd8df69df52faeba89d5b",
+        "363e87cbf223b7ca947645878395d08ceeca5a5e6b1f15f1fc6777072615e15f"),
+    "constant_droop-multipiece-x4": (
+        "ca8ca38ec6f68ffb2b7f5afa4cc365637dedc80fdc4188eb127dd14001829e3c",
+        "8f5611d32a1292b035d563cefdb7c384f2c706e190e859c9cbfd28f6a6bce986"),
+    "constant_droop-onset-x16": (
+        "d5e170206596251c5f9da8f0d92b008332483491f1a186edecc95355d9ea624a",
+        "eab31bcf5bfa39c2ab76164425a13aea078b576ca3851b362d4e10d6e01bfb81"),
+    "no_control-x4": (
+        "ac56db1ef89dd4cde88cd3aecdd90bbc55ec744ee50c2f5c589ccd3b4487070a",
+        "cc274ba389579088fb95dcb4071112698ef47bf8d824a188fc9054473f3194b0"),
+    "vdic-governor-onset-x16": (
+        "cd53afbdb9ce124227d20550048229beacd583be269c4af0bad2a400de2fdf32",
+        "6fd435a4d067db7e9fb4e265edbe09569bab2d2c173d6a811307f030515940fa"),
+    "vdic-x4": (
+        "5b273187f709b39c8c6e7aa64b5e5e517fd99ac2ac730b1e7cc77c8a07f986c2",
+        "cc4e765989af099035a9167c2f5801bba3cddd8eb13bb66cc231063811389070"),
+    "vdic_inexact-governor-onset-x4": (
+        "78c1cee63e3a078c3d9216e3432515cd798ff18348fcbb38bc26349dedcb3934",
+        "9ab13b168cbbb53dd749b830cc4129716e9dc805aea9ca1727652faa7ea8a669"),
+    "vdic_inexact-x4": (
+        "67860274e2da5cc3dbba7c2482a13fec224de4a59ab63d4da56fe2663134d8c4",
+        "092ae0dccf9a3bb34fb7b0592f32a0b2527876a269b5154f2ce8cfeab4d32657"),
+    "vdic_unbounded-governor-onset-x4": (
+        "7ec7f0440bb22b0b3bbb81d12df662b6ef1a0eddbf55d97f0cf0eece3539f6fc",
+        "dbb9605d692f6832de5168a1ad3d8a364d0fdbf823abda2f8b7e336b1906eff8"),
+    "vdic_unbounded-x1": (
+        "173180c4d52c57f5719202f3918c1c4601796b5b25656d3d3caced6265815be8",
+        "e02a907f851b019b50831536d30fedcf4ffc14649bda9fd1bcb50de80595ba52"),
+}
+
+
+class TestGoldenBits:
+    """The integrator's output bits, pinned: any change to its arithmetic,
+    the order of its operations or the substep plan shows up here."""
+
+    @pytest.fixture(scope="class")
+    def bundled(self):
+        return run_case_study(load_config(default_config_path())).traces
+
+    @pytest.mark.parametrize("sub", SUBCASES)
+    def test_bundled_case_study(self, bundled, sub):
+        trace = bundled[sub]
+        assert (_sha256(trace.omega), _sha256(trace.rocof)) == GOLDEN[f"bundled-{sub}"]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_fixed_set(self, name):
+        model, event, controller, config, governor = GOLDEN_CASES[name]()
+        trace = simulate(model, event, controller, config, governor=governor)
+        assert (_sha256(trace.omega), _sha256(trace.rocof)) == GOLDEN[name]
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+    def test_kernel_matches_generic_loop(self, name):
+        model, event, controller, config, governor = GOLDEN_CASES[name]()
+        kernel = simulate(model, event, controller, config, governor=governor)
+        generic = simulate(model, event, _via_generic_loop(controller), config,
+                           governor=governor)
+        assert np.array_equal(kernel.omega, generic.omega)
+        assert np.array_equal(kernel.rocof, generic.rocof)
+
+
+def _via_generic_loop(controller: Controller) -> Controller:
+    """The same controller as an instance of a subclass of its type, which
+    the integrator runs through the generic loop (kernels serve the exact
+    built-in types only)."""
+    base = type(controller)
+    clone = copy.copy(controller)
+    clone.__class__ = type(f"Generic{base.__name__}", (base,), {})
+    return clone
+
+
+class TestUntouchedPaths:
+    """Substep plans that neither the bundled scenario nor the other tests reach."""
+
+    @pytest.fixture(scope="class")
+    def multipiece(self):
+        ffrs, controller, cfg = _MULTIPIECE
+        return simulate(make_model(ffrs), ImbalanceEvent(-0.3), controller, cfg)
+
+    def test_multipiece_constant_droop_matches_closed_form(self, multipiece):
+        ref = closed_form_omega_constant_droop(-0.3, 8000.0, 39.2, multipiece.sample_times)
+        # lambda * h = 1.02 per substep, where one RK4 step is 2 % off exp(-lambda * h),
+        # on a transient of |delta_pf| / k = 3.75e-5
+        assert np.max(np.abs(multipiece.omega - ref)) < 5e-7
+
+    def test_multipiece_constant_droop_takes_two_substeps(self, multipiece):
+        # omega_n = omega_ss * (1 - R(z)^(2n)), R the RK4 amplification of a
+        # substep of z = lambda * dt / 2: exact for the planned two substeps
+        z = 8000.0 / 39.2 * (_MULTIPIECE[2].time_step / 2.0)
+        r = 1.0 - z + z**2 / 2.0 - z**3 / 6.0 + z**4 / 24.0
+        n = np.arange(multipiece.sample_times.size)
+        ref = -0.3 / 8000.0 * (1.0 - r ** (2 * n))
+        assert np.max(np.abs(multipiece.omega - ref)) < 1e-19
+
+    @pytest.mark.parametrize("sched", _INEXACT)
+    def test_inexact_breakpoint_does_not_round_trip(self, sched):
+        # the golden vdic_inexact cases rely on this
+        assert sched.target_inertia / sched.floor_start < sched.lower_bound
