@@ -7,7 +7,7 @@ Subcommands:
     design-schedule   print the bounded droop schedule's breakpoints
     estimate          recover time-resolved equivalent inertia from a trace CSV
 
-Exit codes: 0 success, 2 config/validation problem, 3 simulation divergence.
+Exit codes: 0 success, 2 config, validation or output problem, 3 simulation divergence.
 """
 
 from __future__ import annotations
@@ -15,22 +15,21 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from .analytics import estimate_from_trace
 from .errors import ConfigError, SimulationDivergedError, ValidationError
-from .model import SimConfig
 from .scenario import (
     SUBCASES,
     ScenarioConfig,
+    _write_csv,
     default_config_path,
     emit_case_study_csv,
     emit_trace_csv,
     load_config,
-    metrics_dict,
     read_trace_csv,
     run_case_study,
     run_subcase,
@@ -51,12 +50,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _load(args) -> ScenarioConfig:
     cfg = load_config(args.config if args.config is not None else default_config_path())
     if args.dt is not None or args.duration is not None:
-        sim = SimConfig(
+        cfg = replace(cfg, sim=replace(
+            cfg.sim,
             time_step=args.dt if args.dt is not None else cfg.sim.time_step,
             duration=args.duration if args.duration is not None else cfg.sim.duration,
-            integrator=cfg.sim.integrator,
-        )
-        cfg = replace(cfg, sim=sim)
+        ))
     return cfg
 
 
@@ -71,7 +69,7 @@ def _cmd_simulate(args) -> int:
     trace_path = args.out / f"trace_{cfg.subcase}.csv"
     emit_trace_csv(trace, trace_path)
     summary_path = args.out / f"summary_{cfg.subcase}.json"
-    _write_json({"subcase": cfg.subcase, "metrics": metrics_dict(metrics)}, summary_path)
+    _write_json({"subcase": cfg.subcase, "metrics": asdict(metrics)}, summary_path)
     print(f"{cfg.subcase}: initial RoCoF {metrics.initial_rocof:.6e} p.u./s, "
           f"nadir {metrics.nadir:.6e} p.u. at t={metrics.nadir_time:.3f} s")
     print(f"wrote {trace_path} and {summary_path}")
@@ -126,10 +124,8 @@ def _cmd_estimate(args) -> int:
     estimate = estimate_from_trace(trace, cfg.model.total_inertia, cfg.event.delta_pf)
     args.out.mkdir(parents=True, exist_ok=True)
     out_path = args.out / "inertia_estimate.csv"
-    with open(out_path, "w", newline="") as f:
-        f.write("t,delta_tj,valid\n")
-        for t, v, ok in zip(estimate.sample_times, estimate.delta_tj, estimate.valid_mask):
-            f.write(f"{float(t)!r},{float(v)!r},{int(ok)}\n")
+    _write_csv(out_path, "t,delta_tj,valid", [estimate.sample_times, estimate.delta_tj,
+               estimate.valid_mask.astype(np.int64)], "inertia estimate CSV")
     valid = estimate.delta_tj[estimate.valid_mask]
     if valid.size:
         print(f"valid samples: {valid.size}; median equivalent inertia "
@@ -170,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValidationError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SimulationDivergedError as exc:

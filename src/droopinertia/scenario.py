@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -237,6 +237,15 @@ def run_subcase(config: ScenarioConfig) -> tuple[Trace, SummaryMetrics]:
     return trace, summarize(trace)
 
 
+def _onset_window(trace: Trace) -> tuple[int, int]:
+    """Indices of the onset sample and of the sample 100 ms after it."""
+    t, dt = trace.sample_times, trace.time_step
+    i_on = int(np.searchsorted(t, trace.onset_time - 1e-9 * dt, side="left"))
+    if i_on >= t.size - 1:
+        raise ValidationError("trace has no post-onset samples to summarize")
+    return i_on, min(t.size - 1, i_on + max(1, round(0.1 / dt)))
+
+
 def summarize(trace: Trace) -> SummaryMetrics:
     """Compute SummaryMetrics from a trace.
 
@@ -244,18 +253,12 @@ def summarize(trace: Trace) -> SummaryMetrics:
     recomputed from an emitted CSV reproduce the originals exactly.
     """
     t = trace.sample_times
-    dt = trace.time_step
-    tol = 1e-9 * dt
-    i_on = int(np.searchsorted(t, trace.onset_time - tol, side="left"))
-    if i_on >= t.size - 1:
-        raise ValidationError("trace has no post-onset samples to summarize")
-
-    i_win = min(t.size - 1, i_on + max(1, round(0.1 / dt)))
+    i_on, i_win = _onset_window(trace)
     initial = (trace.omega[i_win] - trace.omega[i_on]) / (t[i_win] - t[i_on])
 
     post = trace.omega[i_on:]
     k = int(np.argmin(post))
-    i_tail = int(np.searchsorted(t, 0.9 * t[-1] - tol, side="left"))
+    i_tail = int(np.searchsorted(t, 0.9 * t[-1] - 1e-9 * trace.time_step, side="left"))
 
     return SummaryMetrics(
         initial_rocof=float(initial),
@@ -312,10 +315,7 @@ def _ordering_report(config: ScenarioConfig, traces: dict[str, Trace],
     mag = {s: abs(v) for s, v in rocof.items()}
     rel_iv_ii = abs(rocof["vdic"] - rocof["added_inertia"]) / abs(rocof["added_inertia"])
 
-    t = traces["no_control"].sample_times
-    dt = traces["no_control"].time_step
-    i_on = int(np.searchsorted(t, traces["no_control"].onset_time - 1e-9 * dt))
-    i_win = min(t.size - 1, i_on + max(1, round(0.1 / dt)))
+    i_on, i_win = _onset_window(traces["no_control"])
     early_gap = float(
         np.max(
             np.abs(
@@ -355,24 +355,42 @@ def _ordering_report(config: ScenarioConfig, traces: dict[str, Trace],
 
 TRACE_COLUMNS = ("t", "omega", "rocof", "ffr_power", "droop_active")
 
+_BLOCK_ROWS = 1024  # caps the formatted strings held at once, and so peak memory
+
+
+def _write_csv(path: str | Path, header: str, cols: list[np.ndarray], what: str) -> None:
+    """Write equal-length columns under a header, each value as exactly ``repr``
+    of its Python scalar. Rows go out in blocks; within one, a column slice that
+    is constant or bit-identical to an earlier slice is formatted only once."""
+    try:
+        with open(path, "w", newline="") as f:
+            f.write(header + "\n")
+            for lo in range(0, len(cols[0]), _BLOCK_ROWS):
+                formatted: dict[tuple[str, bytes], list[str]] = {}
+                fields = []
+                for c in cols:
+                    part = c[lo : lo + _BLOCK_ROWS]
+                    key = (part.dtype.str, part.tobytes())
+                    if key not in formatted:
+                        constant = key[1] == key[1][: part.itemsize] * part.size
+                        formatted[key] = ([repr(part[0].item())] * part.size if constant
+                                          else repr(part.tolist())[1:-1].split(", "))
+                    fields.append(formatted[key])
+                f.write("\n".join(map(",".join, zip(*fields, strict=True))) + "\n")
+    except OSError as exc:
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
+
 
 def emit_trace_csv(trace: Trace, path: str | Path) -> None:
     """Write a trace as CSV: header then one full-precision row per sample.
 
-    Floats are written with repr (shortest round-trip form), so parsing the
-    file back yields bit-identical values and identical recomputed metrics.
-    """
-    path = Path(path)
+    The package's one CSV writer puts out each value as exactly ``repr`` of
+    its float (shortest round-trip form), so parsing the file back yields
+    bit-identical values and identical recomputed metrics."""
     header = ",".join(TRACE_COLUMNS) + "".join(f",p_{i}" for i in trace.ffr_ids)
     cols = [trace.sample_times, trace.omega, trace.rocof, trace.ffr_power,
             trace.droop_active, *trace.per_ffr_power]
-    try:
-        with open(path, "w", newline="") as f:
-            f.write(header + "\n")
-            for j in range(trace.sample_times.size):
-                f.write(",".join(repr(float(c[j])) for c in cols) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write trace CSV to {path}: {exc}") from exc
+    _write_csv(path, header, [np.asarray(c, float) for c in cols], "trace CSV")
 
 
 def read_trace_csv(path: str | Path) -> Trace:
@@ -414,26 +432,12 @@ def read_trace_csv(path: str | Path) -> Trace:
 
 
 def emit_case_study_csv(result: CaseStudyResult, path: str | Path) -> None:
-    """Merged four-subcase CSV keyed by time: omega and rocof per subcase."""
-    grids = [result.traces[s].sample_times for s in SUBCASES]
-    for other in grids[1:]:
-        if other.shape != grids[0].shape or not np.array_equal(other, grids[0]):
-            raise ValidationError("case-study traces are not on a common time grid")
-    header = "t" + "".join(f",omega_{s}" for s in SUBCASES) + "".join(
-        f",rocof_{s}" for s in SUBCASES
-    )
-    cols = [grids[0]] + [result.traces[s].omega for s in SUBCASES] + [
-        result.traces[s].rocof for s in SUBCASES
-    ]
-    path = Path(path)
-    try:
-        with open(path, "w", newline="") as f:
-            f.write(header + "\n")
-            for j in range(grids[0].size):
-                f.write(",".join(repr(float(c[j])) for c in cols) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write case-study CSV to {path}: {exc}") from exc
-
-
-def metrics_dict(metrics: SummaryMetrics) -> dict:
-    return asdict(metrics)
+    """Merged four-subcase CSV keyed by time: omega and rocof per subcase,
+    each value exactly ``repr`` of its float, by the trace CSVs' writer."""
+    t = result.traces[SUBCASES[0]].sample_times
+    if not all(np.array_equal(result.traces[s].sample_times, t) for s in SUBCASES):
+        raise ValidationError("case-study traces are not on a common time grid")
+    names = [(q, s) for q in ("omega", "rocof") for s in SUBCASES]
+    header = "t" + "".join(f",{q}_{s}" for q, s in names)
+    cols = [t, *(getattr(result.traces[s], q) for q, s in names)]
+    _write_csv(path, header, [np.asarray(c, float) for c in cols], "case-study CSV")

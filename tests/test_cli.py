@@ -1,10 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from droopinertia import cli
-from droopinertia.scenario import default_config_path
+from droopinertia.scenario import _write_csv, default_config_path
 
 
 def run_cli(*argv):
@@ -118,3 +119,99 @@ class TestDivergenceExitCode:
         monkeypatch.setattr(cli, "run_subcase", boom)
         code = run_cli("simulate", "--out", str(tmp_path / "o"))
         assert code == 3
+
+
+# sha256 of every CSV/JSON the bundled scenario produces, computed with the
+# original one-row-at-a-time writers; any change to a single output byte
+# (number format, row order, line endings) fails here.
+GOLDEN_SHA256 = {
+    "case_study.csv": "c47361bc878d58756d849d425b52541e3a1d958a433cd88d026d3202b50c6ff0",
+    "report.json": "92c14d6be2a340ae51eafd96e92d603b6d302d620dbdcbada94e6d0b58ac3281",
+    "trace_added_inertia.csv": "36971dc44cd6d165a5a5572a4be2ddb76859a97e6308955f84dbb6197e70afbf",
+    "trace_constant_droop.csv": "401cbf210e2f690d9f1d7d88341b8a33b5f61c90e99afbe80f8765c192eb0111",
+    "trace_no_control.csv": "210def9ea81b66d490043237d515d6fd8c06f26a04788ba3a9ec847c1ac11088",
+    "trace_vdic.csv": "3d19c6a111d8ddd1e8b6ea47fdf5575db9589576e2ec3b6d498e158044d683f9",
+    "inertia_estimate.csv": "1f21bc4052eda53bd5269d3cd4e77ddded63fb60d77da0b3fb571c4808f4c483",
+}
+
+
+def test_bundled_outputs_match_golden_sha256(tmp_path):
+    out = tmp_path / "cs"
+    assert run_cli("case-study", "--out", str(out)) == 0
+    assert run_cli("estimate", str(out / "trace_vdic.csv"), "--out", str(out)) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in GOLDEN_SHA256}
+    assert digests == GOLDEN_SHA256
+
+
+def _reference_csv(header, cols):
+    """The row-at-a-time writer the block-wise one replaced."""
+    lines = [header]
+    for j in range(len(cols[0])):
+        lines.append(",".join(repr(c[j].item()) for c in cols))
+    return "\n".join(lines) + "\n"
+
+
+SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e16, 1e22,
+            -1e22, 0.1, 1.0, 123456789.0]
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
+def test_write_csv_matches_row_loop(tmp_path, n):
+    rng = np.random.default_rng(n)
+    normal = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    specials = rng.choice(SPECIALS, size=n)
+    mixed = np.where(rng.random(n) < 0.5, specials, normal)
+    # constant over the first block, varying after it
+    blockwise = np.where(np.arange(n) < 1024, 0.25, normal)
+    zeros = np.zeros(n)
+    neg_zeros = np.full(n, -0.0)
+    signs = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    flags = (rng.random(n) < 0.5).astype(np.int64)
+    int_zeros = np.zeros(n, dtype=np.int64)
+    strided = np.repeat(mixed, 2)[::2]
+    cols = [np.linspace(0.0, 1.0, n), normal, mixed, mixed.copy(), specials,
+            blockwise, zeros, neg_zeros, signs, flags, int_zeros, zeros,
+            np.full(n, np.nan), np.full(n, -np.inf), strided, normal]
+    header = ",".join(f"c{i}" for i in range(len(cols)))
+    path = tmp_path / "out.csv"
+    _write_csv(path, header, cols, "test CSV")
+    assert path.read_text() == _reference_csv(header, cols)
+
+
+class TestUnwritableOutput:
+    """An --out that cannot be written is a usage error: exit 2 with the
+    path on stderr, never a traceback."""
+
+    SHORT = ("--duration", "12", "--dt", "0.01")
+
+    @pytest.fixture
+    def trace(self, tmp_path):
+        out = tmp_path / "src"
+        assert run_cli("simulate", "--out", str(out), *self.SHORT) == 0
+        return out / "trace_vdic.csv"
+
+    def _argv(self, command, trace, out):
+        if command == "estimate":
+            return ["estimate", str(trace), "--out", str(out)]
+        return [command, "--out", str(out), *self.SHORT]
+
+    @pytest.mark.parametrize("command", ["simulate", "case-study", "estimate"])
+    def test_out_is_a_file(self, tmp_path, capsys, trace, command):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run_cli(*self._argv(command, trace, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+
+    @pytest.mark.parametrize("command, name", [
+        ("simulate", "trace_vdic.csv"),
+        ("case-study", "case_study.csv"),
+        ("estimate", "inertia_estimate.csv"),
+    ])
+    def test_output_file_is_a_directory(self, tmp_path, capsys, trace, command, name):
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        assert run_cli(*self._argv(command, trace, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and str(out / name) in err
