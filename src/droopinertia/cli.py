@@ -64,8 +64,8 @@ def _write_json(payload: dict, path: Path) -> None:
 
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
-    trace, metrics = run_subcase(cfg)
     args.out.mkdir(parents=True, exist_ok=True)
+    trace, metrics = run_subcase(cfg)
     trace_path = args.out / f"trace_{cfg.subcase}.csv"
     emit_trace_csv(trace, trace_path)
     summary_path = args.out / f"summary_{cfg.subcase}.json"
@@ -78,8 +78,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_case_study(args) -> int:
     cfg = _load(args)
-    result = run_case_study(cfg)
     args.out.mkdir(parents=True, exist_ok=True)
+    result = run_case_study(cfg)
     for sub in SUBCASES:
         emit_trace_csv(result.traces[sub], args.out / f"trace_{sub}.csv")
     emit_case_study_csv(result, args.out / "case_study.csv")

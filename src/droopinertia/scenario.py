@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, replace
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -393,8 +395,25 @@ def emit_trace_csv(trace: Trace, path: str | Path) -> None:
     _write_csv(path, header, [np.asarray(c, float) for c in cols], "trace CSV")
 
 
+_EAGER_COLUMNS = (0, 2, 3)  # t, rocof, ffr_power: all that estimate_from_trace reads
+
+
 def read_trace_csv(path: str | Path) -> Trace:
     """Parse a CSV produced by emit_trace_csv back into a Trace.
+
+    t, rocof and ffr_power are parsed here. omega, droop_active and the
+    ``p_<id>`` columns are parsed on the first access to one of them, if the
+    file's size and mtime are still those of this read; a caller that never
+    touches them, like estimate_from_trace, never pays for them. Values
+    round-trip bit-exactly, since the writer writes repr.
+
+    Raises ValidationError naming the file and the first bad line for: a
+    wrong header or an FFR column that is not a new ``p_<id>``; a first data
+    row whose field count differs from the header's; a value that does not
+    parse or is not finite; fewer than two rows; a t column that does not
+    increase or is off the uniform grid of its first step by more than
+    1e-9 * dt. Values of the deferred columns, and rows past the
+    first that are short only in them, are checked when they are parsed.
 
     The onset is recovered as the first sample with nonzero rocof (exact:
     the emitted rocof is identically 0.0 before onset and steps to
@@ -405,30 +424,91 @@ def read_trace_csv(path: str | Path) -> Trace:
     try:
         with open(path, newline="") as f:
             header = f.readline().strip().split(",")
-            data = np.loadtxt(f, delimiter=",", ndmin=2)
+            first = f.readline().strip()
+        stamp = _stamp(path)
     except OSError as exc:
         raise ValidationError(f"cannot read trace CSV {path}: {exc}") from exc
     if tuple(header[: len(TRACE_COLUMNS)]) != TRACE_COLUMNS:
         raise ValidationError(
             f"{path}: unexpected trace header {header[:len(TRACE_COLUMNS)]}"
         )
-    if data.shape[0] < 2 or data.shape[1] != len(header):
-        raise ValidationError(f"{path}: malformed trace body {data.shape}")
-    ffr_ids = tuple(h[2:] for h in header[len(TRACE_COLUMNS):])
-    t = data[:, 0]
-    rocof = data[:, 2]
+    ffr_ids = []
+    for name in header[len(TRACE_COLUMNS):]:
+        if not name.startswith("p_") or name[2:] in ffr_ids or not name[2:]:
+            raise ValidationError(f"{path}, line 1: column {name!r} is not a new p_<id>")
+        ffr_ids.append(name[2:])
+    if first.count(",") + 1 != len(header):
+        raise ValidationError(f"{path}, line 2: {first.count(',') + 1} fields, "
+                              f"the header has {len(header)}")
+    data = _parse_columns(path, stamp, _EAGER_COLUMNS)
+    if data.shape[0] < 2:
+        raise ValidationError(f"{path}: a trace needs at least two rows, got {data.shape[0]}")
+    t, rocof = data[:, 0], data[:, 1]
+    dt = t[1] - t[0]
+    if not dt > 0.0:
+        raise ValidationError(f"{path}, line 3: t does not increase")
+    off_grid = ~(np.abs(t - (t[0] + np.arange(t.size) * dt)) <= 1e-9 * dt)
+    if off_grid.any():
+        raise ValidationError(f"{path}, line {int(np.argmax(off_grid)) + 2}: t is not "
+                              f"on the uniform grid of step {dt!r} set by its first two rows")
     nonzero = np.nonzero(rocof)[0]
     onset = float(t[nonzero[0]]) if nonzero.size else math.inf
-    return Trace(
+    deferred = (1, 4, *range(len(TRACE_COLUMNS), len(header)))  # omega, droop_active, p_<id>
+    return Trace._lazy(
+        partial(_read_deferred, path, stamp, deferred),
         sample_times=t,
-        omega=data[:, 1],
         rocof=rocof,
-        ffr_power=data[:, 3],
-        droop_active=data[:, 4],
-        per_ffr_power=data[:, len(TRACE_COLUMNS):].T,
-        ffr_ids=ffr_ids,
+        ffr_power=data[:, 2],
+        ffr_ids=tuple(ffr_ids),
         onset_time=onset,
     )
+
+
+def _stamp(path: Path) -> tuple[int, int]:
+    st = os.stat(path)
+    return st.st_size, st.st_mtime_ns
+
+
+def _parse_columns(path: Path, stamp: tuple[int, int], usecols: tuple[int, ...]) -> np.ndarray:
+    """Parse the given columns of a trace body, every value finite, from a
+    file whose (size, mtime) is ``stamp`` before and after. loadtxt gets the
+    path, not an open file, which it would read line by line in Python."""
+    try:
+        data = (np.loadtxt(path, delimiter=",", skiprows=1, usecols=usecols, ndmin=2)
+                if _stamp(path) == stamp else None)
+        unchanged = data is not None and _stamp(path) == stamp
+    except OSError as exc:
+        raise ValidationError(f"cannot read trace CSV {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ValidationError(f"{path}, line {_first_bad_line(path, usecols)}: {exc}") from exc
+    if not unchanged:
+        raise ValidationError(f"{path}: the trace file changed after it was read")
+    bad = ~np.isfinite(data).all(axis=1)
+    if bad.any():
+        raise ValidationError(f"{path}, line {int(np.argmax(bad)) + 2}: a value is not finite")
+    return data
+
+
+def _first_bad_line(path: Path, usecols: tuple[int, ...]) -> int | str:
+    """Number of the first body line where a used column is missing or does
+    not parse as a float, as numpy's messages number rows inconsistently."""
+    with open(path, newline="") as f:
+        f.readline()
+        for number, line in enumerate(f, start=2):
+            body = line.split("#")[0]
+            if body.strip():
+                try:
+                    [float(body.split(",")[c]) for c in usecols]
+                except (IndexError, ValueError):
+                    return number
+    return "?"
+
+
+def _read_deferred(path: Path, stamp: tuple[int, int], usecols: tuple[int, ...]):
+    """omega, droop_active and per_ffr_power of a trace file that must not
+    have changed since read_trace_csv read it."""
+    data = _parse_columns(path, stamp, usecols)
+    return data[:, 0], data[:, 1], data[:, 2:].T
 
 
 def emit_case_study_csv(result: CaseStudyResult, path: str | Path) -> None:

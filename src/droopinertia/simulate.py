@@ -71,6 +71,9 @@ class Trace:
     per_ffr_power has one row per FFR id, in roster order; rows sum to
     ffr_power at every sample. rocof is the exact ODE right-hand side at
     each sample state, not a finite difference.
+
+    A trace read from CSV may hold omega, droop_active and per_ffr_power
+    deferred: the first access to any of them parses all three.
     """
 
     sample_times: np.ndarray
@@ -85,6 +88,27 @@ class Trace:
     @property
     def time_step(self) -> float:
         return float(self.sample_times[1] - self.sample_times[0])
+
+    @classmethod
+    def _lazy(cls, load, **eager) -> Trace:
+        """A trace with the eager fields set and load() -> (omega,
+        droop_active, per_ffr_power) called on first access to one of those."""
+        trace = object.__new__(cls)
+        trace.__dict__.update(eager, _load=load)
+        return trace
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute that is not set, so a simulated trace
+        # never comes here
+        load = self.__dict__.get("_load")
+        if load is None or name not in _DEFERRED:
+            raise AttributeError(f"'Trace' object has no attribute {name!r}")
+        self.__dict__.update(zip(_DEFERRED, load()))
+        self.__dict__.pop("_load", None)
+        return self.__dict__[name]
+
+
+_DEFERRED = ("omega", "droop_active", "per_ffr_power")
 
 
 def _roster_check(model: SystemModel, controller: Controller) -> None:

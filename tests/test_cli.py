@@ -204,6 +204,18 @@ class TestUnwritableOutput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(out) in err
 
+    @pytest.mark.parametrize("command", ["simulate", "case-study"])
+    def test_out_is_checked_before_integrating(self, tmp_path, capsys, monkeypatch, command):
+        def integrate(cfg):
+            raise AssertionError("integrated before --out was checked")
+
+        monkeypatch.setattr(cli, "run_subcase", integrate)
+        monkeypatch.setattr(cli, "run_case_study", integrate)
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run_cli(command, "--out", str(out)) == 2
+        assert str(out) in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, name", [
         ("simulate", "trace_vdic.csv"),
         ("case-study", "case_study.csv"),
