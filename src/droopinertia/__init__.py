@@ -16,21 +16,15 @@ from .analytics import (
     equivalent_inertia_from_regulation,
     estimate_from_trace,
     initial_rocof,
-    vdic_schedule_unbounded,
 )
 from .controllers import (
     ConstantDroop,
     Controller,
-    DroopAllocation,
     DroopSchedule,
     GovernorSpec,
     NoControl,
     Vdic,
-    allocate_droop,
-    constant_droop_power,
-    governor_power,
     vdic_coefficient,
-    vdic_power,
 )
 from .errors import ConfigError, SimulationDivergedError, ValidationError
 from .model import (
@@ -55,7 +49,7 @@ from .scenario import (
     run_subcase,
     summarize,
 )
-from .simulate import Trace, simulate, swing_derivative
+from .simulate import Trace, simulate
 
 __version__ = "0.1.0"
 
@@ -65,7 +59,6 @@ __all__ = [
     "ConfigError",
     "ConstantDroop",
     "Controller",
-    "DroopAllocation",
     "DroopSchedule",
     "FfrSpec",
     "GeneratorSpec",
@@ -83,17 +76,14 @@ __all__ = [
     "ValidationError",
     "Vdic",
     "aggregate_inertia",
-    "allocate_droop",
     "closed_form_omega_constant_droop",
     "closed_form_omega_constant_inertia",
-    "constant_droop_power",
     "default_config_path",
     "emit_case_study_csv",
     "emit_trace_csv",
     "equivalent_inertia_constant_droop",
     "equivalent_inertia_from_regulation",
     "estimate_from_trace",
-    "governor_power",
     "initial_rocof",
     "load_config",
     "read_trace_csv",
@@ -101,8 +91,5 @@ __all__ = [
     "run_subcase",
     "simulate",
     "summarize",
-    "swing_derivative",
     "vdic_coefficient",
-    "vdic_power",
-    "vdic_schedule_unbounded",
 ]

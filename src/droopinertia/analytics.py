@@ -126,19 +126,6 @@ def closed_form_omega_constant_inertia(delta_pf: float, t_j: float, delta_tj: fl
     return delta_pf * np.asarray(elapsed) / (t_j + delta_tj)
 
 
-def vdic_schedule_unbounded(delta_tj: float, elapsed: float) -> float:
-    """Unclamped inverse-time droop coefficient delta_tj / elapsed.
-
-    Raises on elapsed = 0 (the singularity); the bounded realization is
-    controllers.vdic_coefficient.
-    """
-    if elapsed <= 0.0:
-        raise ValidationError(
-            f"elapsed must be > 0 (got {elapsed}); the 1/t schedule is singular at 0"
-        )
-    return delta_tj / elapsed
-
-
 def initial_rocof(delta_pf: float, t_j: float, delta_tj: float = 0.0) -> float:
     """RoCoF right after onset with inertia t_j + delta_tj: delta_pf / (t_j + delta_tj)."""
     if t_j + delta_tj <= 0.0:

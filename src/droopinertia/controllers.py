@@ -16,12 +16,10 @@ limits above, retained steady-state frequency support below).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import ValidationError
-from .model import FfrSpec, _require_finite, _require_positive
+from .model import _require_finite, _require_positive
 
 
 @dataclass(frozen=True)
@@ -84,14 +82,6 @@ class GovernorSpec:
 # droop laws
 # --------------------------------------------------------------------------
 
-def constant_droop_power(k_total: float, omega: float) -> float:
-    """Regulating power -k_total * omega of a constant-droop FFR fleet."""
-    _require_finite("k_total", k_total)
-    if k_total < 0.0:
-        raise ValidationError(f"k_total must be >= 0, got {k_total}")
-    return -k_total * omega
-
-
 def vdic_coefficient(schedule: DroopSchedule, elapsed: float) -> float:
     """Active droop coefficient of the bounded schedule at ``elapsed`` seconds.
 
@@ -106,92 +96,6 @@ def vdic_coefficient(schedule: DroopSchedule, elapsed: float) -> float:
                max(schedule.lower_bound, schedule.target_inertia / elapsed))
 
 
-def vdic_power(schedule: DroopSchedule, omega: float, elapsed: float) -> float:
-    """Regulating power of the bounded VDIC schedule: -k(elapsed) * omega."""
-    return -vdic_coefficient(schedule, elapsed) * omega
-
-
-def governor_power(spec: GovernorSpec, omega: float, state: float,
-                   dt: float) -> tuple[float, float]:
-    """Advance the governor lag by dt with omega held constant.
-
-    Returns (power, new_state). The update is the exact solution of
-    T * dp/dt = (-gain * omega) - p over the step, so it is unconditionally
-    stable and independent of how dt is subdivided.
-    """
-    if not spec.enabled:
-        return 0.0, state
-    if dt < 0.0:
-        raise ValidationError(f"dt must be >= 0, got {dt}")
-    target = -spec.droop_gain * omega
-    new_state = target + (state - target) * math.exp(-dt / spec.time_constant)
-    return new_state, new_state
-
-
-# --------------------------------------------------------------------------
-# allocation of the total coefficient across FFRs
-# --------------------------------------------------------------------------
-
-class DroopAllocation(NamedTuple):
-    """Per-FFR droop coefficients plus a flag set when the per-FFR caps
-    truncated the requested total."""
-
-    coefficients: tuple[float, ...]
-    saturated: bool
-
-
-def allocate_droop(k_total: float, ffrs: list[FfrSpec] | tuple[FfrSpec, ...]) -> DroopAllocation:
-    """Split a total droop coefficient across FFRs by regulation margin.
-
-    Shares are proportional to each FFR's regulation margin. Shares that
-    would exceed an FFR's droop_upper_bound are pinned to the bound and the
-    surplus is redistributed proportionally among the remaining FFRs,
-    iterating to a fixpoint. The result sums to k_total whenever
-    k_total <= sum of caps; beyond that every FFR sits at its cap and the
-    allocation is flagged saturated.
-    """
-    _require_finite("k_total", k_total)
-    if k_total < 0.0:
-        raise ValidationError(f"k_total must be >= 0, got {k_total}")
-    if not ffrs:
-        raise ValidationError("allocate_droop requires at least one FFR")
-    margins = [f.regulation_margin for f in ffrs]
-    if sum(margins) <= 0.0:
-        raise ValidationError("allocate_droop requires at least one positive regulation margin")
-    caps = [f.droop_upper_bound for f in ffrs]
-    n = len(ffrs)
-    if k_total == 0.0:
-        return DroopAllocation((0.0,) * n, False)
-    if k_total > sum(caps):
-        return DroopAllocation(tuple(caps), True)
-
-    out = [0.0] * n
-    active = list(range(n))
-    remaining = k_total
-    while active:
-        weight = sum(margins[i] for i in active)
-        if weight <= 0.0:
-            # only zero-margin FFRs left; nothing further to hand out
-            break
-        pinned = []
-        for i in active:
-            share = remaining * margins[i] / weight
-            if share > caps[i]:
-                pinned.append(i)
-        if not pinned:
-            for i in active:
-                out[i] = remaining * margins[i] / weight
-            remaining = 0.0
-            break
-        for i in pinned:
-            out[i] = caps[i]
-            remaining -= caps[i]
-            active.remove(i)
-    # remaining > 0 here means the margin-bearing FFRs ran out of cap room
-    saturated = remaining > 1e-12 * k_total
-    return DroopAllocation(tuple(out), saturated)
-
-
 # --------------------------------------------------------------------------
 # controller objects consumed by the simulator
 # --------------------------------------------------------------------------
@@ -199,13 +103,8 @@ def allocate_droop(k_total: float, ffrs: list[FfrSpec] | tuple[FfrSpec, ...]) ->
 class Controller:
     """Base droop-law controller: subclasses define coefficient(elapsed)."""
 
-    kind = "none"
-
     def coefficient(self, elapsed: float) -> float:
         raise NotImplementedError
-
-    def power(self, omega: float, elapsed: float) -> float:
-        return -self.coefficient(elapsed) * omega
 
     @property
     def max_coefficient(self) -> float:
@@ -217,8 +116,6 @@ class Controller:
 class NoControl(Controller):
     """FFRs idle; only rotating inertia (and optionally the governor) acts."""
 
-    kind = "none"
-
     def coefficient(self, elapsed: float) -> float:
         return 0.0
 
@@ -228,8 +125,6 @@ class NoControl(Controller):
 
 
 class ConstantDroop(Controller):
-    kind = "constant_droop"
-
     def __init__(self, k_total: float):
         _require_finite("k_total", k_total)
         if k_total < 0.0:
@@ -245,8 +140,6 @@ class ConstantDroop(Controller):
 
 
 class Vdic(Controller):
-    kind = "vdic"
-
     def __init__(self, schedule: DroopSchedule):
         self.schedule = schedule
 

@@ -9,14 +9,18 @@ shortage (frequency falls).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import ValidationError
 
 
 def _require_finite(name: str, value: float) -> float:
-    if not math.isfinite(value):
-        raise ValidationError(f"{name} must be finite, got {value!r}")
+    """value as a float; anything but a finite real number (a bool included)
+    raises ValidationError."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValidationError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -106,7 +110,8 @@ class SystemModel:
     total_inertia: float = field(init=False)
 
     def __init__(self, system_base: float, generators, ffrs=()):
-        object.__setattr__(self, "system_base", float(system_base))
+        object.__setattr__(self, "system_base",
+                           _require_finite("SystemModel.system_base", system_base))
         object.__setattr__(self, "generators", tuple(generators))
         object.__setattr__(self, "ffrs", tuple(ffrs))
         object.__setattr__(

@@ -26,7 +26,8 @@ from .controllers import (
     Vdic,
 )
 from .errors import ConfigError, ValidationError
-from .model import FfrSpec, GeneratorSpec, ImbalanceEvent, SimConfig, SystemModel
+from .model import (FfrSpec, GeneratorSpec, ImbalanceEvent, SimConfig, SystemModel,
+                    _require_finite)
 from .simulate import Trace, simulate
 
 SUBCASES = ("no_control", "added_inertia", "constant_droop", "vdic")
@@ -112,6 +113,15 @@ def _section(doc: dict, key: str) -> dict:
     return block
 
 
+def _entries(items, ctx: str) -> list[dict]:
+    if not isinstance(items, list):
+        raise ConfigError(f"{ctx} must be a list")
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise ConfigError(f"{ctx}[{i}] must be an object")
+    return items
+
+
 def load_config(path: str | Path) -> ScenarioConfig:
     """Parse and fully validate a scenario config file.
 
@@ -144,7 +154,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
                 nominal_power=_get(g, "nominal_power_mva", f"model.generators[{i}]"),
                 inertia_constant=_get(g, "inertia_constant_s", f"model.generators[{i}]"),
             )
-            for i, g in enumerate(_get(model_sec, "generators", "model"))
+            for i, g in enumerate(_entries(_get(model_sec, "generators", "model"),
+                                           "model.generators"))
         ]
         ffrs = [
             FfrSpec(
@@ -153,7 +164,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
                 droop_optimal=_get(f, "droop_optimal", f"model.ffrs[{i}]"),
                 regulation_margin=f.get("regulation_margin", 0.0),
             )
-            for i, f in enumerate(model_sec.get("ffrs", []))
+            for i, f in enumerate(_entries(model_sec.get("ffrs", []), "model.ffrs"))
         ]
         model = SystemModel(
             system_base=_get(model_sec, "system_base_mva", "model"),
@@ -178,15 +189,19 @@ def load_config(path: str | Path) -> ScenarioConfig:
         if gov_sec is None:
             governor = GovernorSpec(enabled=False)
         else:
+            enabled = gov_sec.get("enabled", False)
+            if not isinstance(enabled, bool):
+                raise ConfigError(f"governor.enabled must be true or false, got {enabled!r}")
             governor = GovernorSpec(
-                enabled=bool(gov_sec.get("enabled", False)),
+                enabled=enabled,
                 droop_gain=gov_sec.get("droop_gain_pu", 25.0),
                 time_constant=gov_sec.get("time_constant_s", 8.0),
             )
 
         k_total = None
         if "constant_droop" in doc:
-            k_total = float(_get(doc["constant_droop"], "k_total_pu", "constant_droop"))
+            k_total = _require_finite("constant_droop.k_total_pu", _get(
+                doc["constant_droop"], "k_total_pu", "constant_droop"))
 
         schedule = None
         if "vdic_schedule" in doc:
@@ -199,7 +214,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
 
         added = None
         if "added_inertia" in doc:
-            added = float(_get(doc["added_inertia"], "delta_tj_s", "added_inertia"))
+            added = _require_finite("added_inertia.delta_tj_s", _get(
+                doc["added_inertia"], "delta_tj_s", "added_inertia"))
 
         return ScenarioConfig(
             model=model,

@@ -50,20 +50,6 @@ _BAND_STEP_FRACTION = 0.125
 _SAT_STEP_LIMIT = 0.35
 
 
-def swing_derivative(model: SystemModel, event: ImbalanceEvent,
-                     controller_power: float, t: float) -> float:
-    """RoCoF of the aggregated system at time t, per-unit/s.
-
-    controller_power is the total regulating power acting on the bus (FFR
-    droop plus governor, if any). Before the onset the imbalance term is
-    absent, so a quiescent system stays at zero.
-    """
-    if t < 0.0:
-        raise ValidationError(f"t must be >= 0, got {t}")
-    imbalance = event.delta_pf if t >= event.onset_time else 0.0
-    return (imbalance + controller_power) / model.total_inertia
-
-
 @dataclass(frozen=True)
 class Trace:
     """Uniformly sampled simulation output.
@@ -337,8 +323,8 @@ def _coefficient_series(controller: Controller, elapsed: np.ndarray,
 
 
 def _allocate_series(k_total: np.ndarray, ffrs) -> np.ndarray:
-    """Margin-proportional allocation with per-FFR caps, vectorized over
-    samples. Same fixpoint as controllers.allocate_droop."""
+    """Margin-proportional allocation with per-FFR caps, vectorized over samples:
+    a share over its cap is pinned there and the rest split the surplus."""
     margins = np.array([f.regulation_margin for f in ffrs])
     caps = np.array([f.droop_upper_bound for f in ffrs])
     n = len(ffrs)

@@ -19,7 +19,7 @@ from droopinertia import (
     estimate_from_trace,
     initial_rocof,
     simulate,
-    vdic_schedule_unbounded,
+    vdic_coefficient,
 )
 from conftest import make_model
 
@@ -109,18 +109,18 @@ class TestClosedFormConstantInertia:
 
 
 class TestUnboundedSchedule:
+    """Bounds far outside the band leave the pure delta_tj / elapsed law."""
+
+    UNBOUNDED = DroopSchedule(40.0, 1e12, 1e-12)
+
     def test_direct_value(self):
-        assert vdic_schedule_unbounded(40.0, 0.5) == 80.0
+        assert vdic_coefficient(self.UNBOUNDED, 0.5) == 80.0
 
     def test_upper_crossover(self):
-        assert vdic_schedule_unbounded(40.0, 0.3125) == 128.0
+        assert vdic_coefficient(self.UNBOUNDED, 0.3125) == 128.0
 
     def test_lower_crossover(self):
-        assert vdic_schedule_unbounded(40.0, 1.25) == 32.0
-
-    def test_singularity_rejected(self):
-        with pytest.raises(ValidationError):
-            vdic_schedule_unbounded(40.0, 0.0)
+        assert vdic_coefficient(self.UNBOUNDED, 1.25) == 32.0
 
 
 class TestInitialRocof:

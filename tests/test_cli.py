@@ -12,6 +12,24 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+# name: (path to a value in the bundled config, its replacement, the field
+# the error must name)
+WRONG_TYPES = {
+    "nominal_power-string": (("model", "generators", 0, "nominal_power_mva"), "1000",
+                             "nominal_power"),
+    "delta_pf-null": (("event", "delta_pf_pu"), None, "delta_pf"),
+    "droop_upper_bound-string": (("model", "ffrs", 0, "droop_upper_bound"), "32",
+                                 "droop_upper_bound"),
+    "target_inertia-string": (("vdic_schedule", "target_inertia_s"), "40", "target_inertia"),
+    "k_total-string": (("constant_droop", "k_total_pu"), "x", "k_total_pu"),
+    "generators-number": (("model", "generators"), 5, "model.generators"),
+    "ffrs-number": (("model", "ffrs"), 5, "model.ffrs"),
+    "generator-number": (("model", "generators", 0), 3, "model.generators[0]"),
+    "governor_enabled-string": (("governor", "enabled"), "false", "governor.enabled"),
+    "time_step-bool": (("sim", "time_step_s"), True, "time_step"),
+}
+
+
 class TestSimulateCommand:
     def test_writes_trace_and_summary(self, tmp_path):
         out = tmp_path / "run"
@@ -46,6 +64,22 @@ class TestSimulateCommand:
         code = run_cli("simulate", "--out", str(tmp_path / "o"),
                        "--duration", "20", "--dt", "5")
         assert code == 2
+
+    @pytest.mark.parametrize("name", sorted(WRONG_TYPES))
+    def test_value_of_wrong_type_exits_2(self, tmp_path, capsys, name):
+        path, value, field = WRONG_TYPES[name]
+        doc = json.loads(default_config_path().read_text())
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = run_cli("simulate", "--config", str(bad), "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and field in err
+        assert "Traceback" not in err
 
 
 class TestCaseStudyCommand:

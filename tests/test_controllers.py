@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from droopinertia import (
@@ -8,37 +9,53 @@ from droopinertia import (
     DroopSchedule,
     FfrSpec,
     GovernorSpec,
+    ImbalanceEvent,
     NoControl,
+    SimConfig,
     ValidationError,
     Vdic,
-    allocate_droop,
-    constant_droop_power,
-    governor_power,
+    simulate,
     vdic_coefficient,
-    vdic_power,
 )
+from conftest import make_model
 
 SCHEDULE = DroopSchedule(target_inertia=40.0, upper_bound=128.0, lower_bound=32.0)
 
 
 class TestConstantDroopPower:
-    def test_offsets_reference_imbalance_at_steady_state(self):
-        # omega_ss = delta_pf / k = -0.3 / 32
-        assert constant_droop_power(32.0, -0.009375) == pytest.approx(0.3, rel=1e-12)
+    """The fleet's regulating power -k * omega, read from simulated traces."""
 
-    def test_zero_deviation(self):
-        assert constant_droop_power(32.0, 0.0) == 0.0
+    def test_offsets_reference_imbalance_at_steady_state(self, model, event):
+        trace = simulate(model, event, ConstantDroop(32.0), SimConfig(1e-3, 30.0))
+        assert trace.ffr_power[-1] == pytest.approx(-event.delta_pf, abs=1e-9)
 
-    def test_disabled_droop(self):
-        assert constant_droop_power(0.0, -0.01) == 0.0
+    def test_zero_deviation(self, model):
+        trace = simulate(model, ImbalanceEvent(-0.3, 0.5), ConstantDroop(32.0),
+                         SimConfig(1e-2, 2.0))
+        still = trace.omega == 0.0
+        assert still.sum() == 51  # every sample up to and including the onset
+        assert not trace.ffr_power[still].any()
+
+    def test_disabled_droop(self, model, event):
+        trace = simulate(model, event, ConstantDroop(0.0), SimConfig(1e-2, 2.0))
+        assert trace.omega[-1] < 0.0
+        assert not trace.ffr_power.any()
 
     def test_negative_coefficient_rejected(self):
         with pytest.raises(ValidationError):
-            constant_droop_power(-1.0, 0.01)
+            ConstantDroop(-1.0)
 
-    def test_odd_in_omega(self):
-        for omega in (1e-4, 0.05, 0.9):
-            assert constant_droop_power(17.0, -omega) == -constant_droop_power(17.0, omega)
+    def test_odd_in_omega(self, model):
+        cfg = SimConfig(1e-2, 3.0)
+        down = simulate(model, ImbalanceEvent(-0.3), ConstantDroop(17.0), cfg)
+        up = simulate(model, ImbalanceEvent(0.3), ConstantDroop(17.0), cfg)
+        assert np.array_equal(up.ffr_power, -down.ffr_power)
+
+    @pytest.mark.parametrize("controller", [NoControl(), ConstantDroop(32.0), Vdic(SCHEDULE)],
+                             ids=["no_control", "constant_droop", "vdic"])
+    def test_power_is_minus_coefficient_times_omega(self, model, controller):
+        trace = simulate(model, ImbalanceEvent(-0.3, 0.25), controller, SimConfig(1e-3, 3.0))
+        assert np.array_equal(trace.ffr_power, -trace.droop_active * trace.omega)
 
 
 class TestDroopSchedule:
@@ -88,50 +105,37 @@ class TestVdicCoefficient:
 
 
 class TestVdicPower:
-    def test_composes_with_linear_ramp(self):
-        # omega on the 79.2 s constant-inertia ramp at t = 0.5 s
-        omega = -0.3 * 0.5 / 79.2
-        # coefficient 40/0.5 = 80, inside the bounds
-        assert vdic_power(SCHEDULE, omega, 0.5) == pytest.approx(12.0 / 79.2, rel=1e-12)
+    """The regulating power of a VDIC fleet, read from simulated traces."""
 
-    def test_zero_omega(self):
-        assert vdic_power(SCHEDULE, 0.0, 3.7) == 0.0
+    def test_composes_with_linear_ramp(self, event):
+        # unbounded, the schedule keeps omega on the 79.2 s constant-inertia
+        # ramp; at 0.5 s its coefficient is 40 / 0.5 = 80
+        model = make_model([FfrSpec("agg", 1e12, 1.0, 1.0)])
+        trace = simulate(model, event, Vdic(DroopSchedule(40.0, 1e12, 1e-12)),
+                         SimConfig(1e-3, 1.0))
+        assert trace.droop_active[500] == 80.0
+        assert trace.ffr_power[500] == pytest.approx(12.0 / 79.2, rel=1e-9)
 
-    def test_floored_coefficient(self):
-        assert vdic_power(SCHEDULE, -0.001, 10.0) == pytest.approx(0.032, rel=1e-12)
+    def test_zero_omega(self, model):
+        trace = simulate(model, ImbalanceEvent(-0.3, 0.5), Vdic(SCHEDULE),
+                         SimConfig(1e-2, 2.0))
+        still = trace.omega == 0.0
+        assert trace.droop_active[still][-1] == 128.0  # the onset sample
+        assert not trace.ffr_power[still].any()
 
-    def test_odd_in_omega(self):
-        for omega, t in ((1e-4, 0.0), (0.02, 0.7), (0.5, 9.0)):
-            assert vdic_power(SCHEDULE, -omega, t) == -vdic_power(SCHEDULE, omega, t)
+    def test_floored_coefficient(self, model, event):
+        trace = simulate(model, event, Vdic(SCHEDULE), SimConfig(1e-2, 10.0))
+        assert trace.droop_active[-1] == 32.0
+        assert trace.ffr_power[-1] == -32.0 * trace.omega[-1]
+
+    def test_odd_in_omega(self, model):
+        cfg = SimConfig(1e-3, 3.0)
+        down = simulate(model, ImbalanceEvent(-0.3), Vdic(SCHEDULE), cfg)
+        up = simulate(model, ImbalanceEvent(0.3), Vdic(SCHEDULE), cfg)
+        assert np.array_equal(up.ffr_power, -down.ffr_power)
 
 
-class TestGovernorPower:
-    def test_disabled_contributes_nothing(self):
-        spec = GovernorSpec(enabled=False)
-        power, state = governor_power(spec, -0.05, 0.123, 1.0)
-        assert power == 0.0
-        assert state == 0.123
-
-    def test_step_response_after_one_time_constant(self):
-        spec = GovernorSpec(enabled=True, droop_gain=25.0, time_constant=8.0)
-        power, _ = governor_power(spec, -0.012, 0.0, 8.0)
-        assert power == pytest.approx(0.3 * (1.0 - math.exp(-1.0)), rel=1e-12)
-
-    def test_settles_to_target(self):
-        spec = GovernorSpec(enabled=True, droop_gain=20.0, time_constant=2.0)
-        state = 0.0
-        for _ in range(100):  # 100 time constants
-            power, state = governor_power(spec, -0.01, state, 2.0)
-        assert power == pytest.approx(0.2, rel=1e-9)
-
-    def test_update_independent_of_substepping(self):
-        spec = GovernorSpec(enabled=True, droop_gain=25.0, time_constant=8.0)
-        one_shot, _ = governor_power(spec, -0.012, 0.0, 8.0)
-        state = 0.0
-        for _ in range(16):
-            stepped, state = governor_power(spec, -0.012, state, 0.5)
-        assert stepped == pytest.approx(one_shot, rel=1e-12)
-
+class TestGovernorSpec:
     def test_enabled_requires_positive_parameters(self):
         with pytest.raises(ValidationError):
             GovernorSpec(enabled=True, droop_gain=0.0)
@@ -139,63 +143,58 @@ class TestGovernorPower:
             GovernorSpec(enabled=True, time_constant=0.0)
 
 
-def equal_margin_ffrs(n=4, cap=32.0):
-    return [FfrSpec(f"f{i}", cap, 8.0, 1.0) for i in range(n)]
+def per_ffr_coefficients(model, controller, config=SimConfig(1e-2, 2.0)):
+    """Each FFR's droop coefficient at every post-onset sample but the onset
+    (where omega is 0), read off a simulated trace as power / -omega."""
+    trace = simulate(model, ImbalanceEvent(-0.3), controller, config)
+    return trace.per_ffr_power[:, 1:] / -trace.omega[1:]
 
 
 class TestAllocateDroop:
-    def test_reference_fleet_pins_at_caps(self):
-        alloc = allocate_droop(128.0, equal_margin_ffrs())
-        assert alloc.coefficients == (32.0, 32.0, 32.0, 32.0)
-        assert not alloc.saturated
+    """The split of the fleet's droop coefficient by regulation margin under
+    per-FFR caps, as simulate allocates it into Trace.per_ffr_power."""
+
+    def test_reference_fleet_pins_at_caps(self, model):
+        # saturated at 128 for the first 0.3125 s, on four caps of 32
+        coef = per_ffr_coefficients(model, Vdic(SCHEDULE), SimConfig(1e-3, 1.0))
+        assert coef[:, :312] == pytest.approx(np.full((4, 312), 32.0), rel=1e-12)
 
     def test_proportional_split(self):
-        ffrs = [FfrSpec("a", 100.0, 1.0, 3.0), FfrSpec("b", 100.0, 1.0, 1.0)]
-        alloc = allocate_droop(40.0, ffrs)
-        assert alloc.coefficients == pytest.approx((30.0, 10.0))
-        assert not alloc.saturated
+        model = make_model([FfrSpec("a", 100.0, 1.0, 3.0), FfrSpec("b", 100.0, 1.0, 1.0)])
+        coef = per_ffr_coefficients(model, ConstantDroop(40.0))
+        assert coef[0] == pytest.approx(np.full(coef.shape[1], 30.0), rel=1e-12)
+        assert coef[1] == pytest.approx(np.full(coef.shape[1], 10.0), rel=1e-12)
 
-    def test_zero_total(self):
-        assert allocate_droop(0.0, equal_margin_ffrs()).coefficients == (0.0,) * 4
+    def test_zero_total(self, model, event):
+        for controller in (NoControl(), ConstantDroop(0.0)):
+            trace = simulate(model, event, controller, SimConfig(1e-2, 2.0))
+            assert trace.per_ffr_power.shape == (4, trace.sample_times.size)
+            assert not trace.per_ffr_power.any()
 
     def test_cap_surplus_redistributed(self):
-        ffrs = [FfrSpec("a", 20.0, 1.0, 3.0), FfrSpec("b", 100.0, 1.0, 1.0)]
-        alloc = allocate_droop(40.0, ffrs)
-        # proportional split (30, 10) pins a at 20; surplus flows to b
-        assert alloc.coefficients == pytest.approx((20.0, 20.0))
-        assert not alloc.saturated
-
-    def test_infeasible_total_flagged(self):
-        alloc = allocate_droop(200.0, equal_margin_ffrs())
-        assert alloc.coefficients == (32.0, 32.0, 32.0, 32.0)
-        assert alloc.saturated
-
-    def test_all_zero_margins_rejected(self):
-        ffrs = [FfrSpec("a", 32.0, 8.0, 0.0), FfrSpec("b", 32.0, 8.0, 0.0)]
-        with pytest.raises(ValidationError):
-            allocate_droop(10.0, ffrs)
-
-    def test_negative_total_rejected(self):
-        with pytest.raises(ValidationError):
-            allocate_droop(-1.0, equal_margin_ffrs())
+        # the margin split (30, 10) pins a at its cap of 20; b takes the surplus
+        model = make_model([FfrSpec("a", 20.0, 1.0, 3.0), FfrSpec("b", 100.0, 1.0, 1.0)])
+        coef = per_ffr_coefficients(model, ConstantDroop(40.0))
+        assert coef == pytest.approx(np.full(coef.shape, 20.0), rel=1e-12)
 
     def test_permutation_equivariant(self):
         rng = random.Random(7)
         ffrs = [FfrSpec(f"f{i}", cap, 1.0, margin)
                 for i, (cap, margin) in enumerate([(12.0, 2.0), (40.0, 5.0),
                                                    (7.0, 1.0), (25.0, 0.5)])]
-        base = allocate_droop(50.0, ffrs).coefficients
+        controller = Vdic(DroopSchedule(20.0, 80.0, 10.0))
+        base = per_ffr_coefficients(make_model(ffrs), controller)
         for _ in range(10):
             perm = list(range(len(ffrs)))
             rng.shuffle(perm)
-            shuffled = allocate_droop(50.0, [ffrs[i] for i in perm]).coefficients
-            assert shuffled == pytest.approx(tuple(base[i] for i in perm))
+            shuffled = per_ffr_coefficients(make_model([ffrs[i] for i in perm]), controller)
+            assert shuffled == pytest.approx(base[perm], rel=1e-12)
 
     def test_scale_linear_below_saturation(self):
-        ffrs = [FfrSpec("a", 1000.0, 1.0, 3.0), FfrSpec("b", 1000.0, 1.0, 2.0)]
-        one = allocate_droop(10.0, ffrs).coefficients
-        three = allocate_droop(30.0, ffrs).coefficients
-        assert three == pytest.approx(tuple(3.0 * k for k in one), rel=1e-12)
+        model = make_model([FfrSpec("a", 1000.0, 1.0, 3.0), FfrSpec("b", 1000.0, 1.0, 2.0)])
+        one = per_ffr_coefficients(model, ConstantDroop(10.0))
+        three = per_ffr_coefficients(model, ConstantDroop(30.0))
+        assert three == pytest.approx(3.0 * one, rel=1e-12)
 
     def test_sums_to_total_when_feasible(self):
         rng = random.Random(21)
@@ -203,27 +202,24 @@ class TestAllocateDroop:
             n = rng.randint(1, 6)
             ffrs = [FfrSpec(f"f{i}", rng.uniform(1.0, 50.0), 0.5,
                             rng.uniform(0.0, 4.0)) for i in range(n)]
-            if sum(f.regulation_margin for f in ffrs) <= 0.0:
-                continue
             cap_sum = sum(f.droop_upper_bound for f in ffrs)
-            k_total = rng.uniform(0.0, cap_sum)
-            alloc = allocate_droop(k_total, ffrs)
-            assert sum(alloc.coefficients) == pytest.approx(k_total, rel=1e-9, abs=1e-12)
-            for k, f in zip(alloc.coefficients, ffrs):
-                assert 0.0 <= k <= f.droop_upper_bound * (1 + 1e-12)
+            upper = rng.uniform(0.0, cap_sum)
+            # a schedule sweeps the total through every pinning pattern below it
+            controller = rng.choice([ConstantDroop(upper),
+                                     Vdic(DroopSchedule(1.0, upper, 0.1 * upper))])
+            trace = simulate(make_model(ffrs), ImbalanceEvent(-0.3), controller,
+                             SimConfig(1e-2, 2.0))
+            rows = trace.per_ffr_power
+            assert rows.sum(axis=0) == pytest.approx(trace.ffr_power, rel=1e-12, abs=0.0)
+            caps = np.array([f.droop_upper_bound for f in ffrs])[:, None]
+            assert np.all(np.abs(rows) <= caps * np.abs(trace.omega) * (1 + 1e-12))
 
 
 class TestControllerObjects:
-    def test_kinds(self):
-        assert NoControl().kind == "none"
-        assert ConstantDroop(32.0).kind == "constant_droop"
-        assert Vdic(SCHEDULE).kind == "vdic"
-
-    def test_coefficient_and_power_agree(self):
+    def test_coefficient_matches_schedule(self):
         ctl = Vdic(SCHEDULE)
         for t in (0.0, 0.2, 0.9, 5.0):
             assert ctl.coefficient(t) == vdic_coefficient(SCHEDULE, t)
-            assert ctl.power(-0.01, t) == vdic_power(SCHEDULE, -0.01, t)
 
     def test_max_coefficient(self):
         assert NoControl().max_coefficient == 0.0
