@@ -214,6 +214,26 @@ class TestAllocateDroop:
             caps = np.array([f.droop_upper_bound for f in ffrs])[:, None]
             assert np.all(np.abs(rows) <= caps * np.abs(trace.omega) * (1 + 1e-12))
 
+    def test_infeasible_total_flagged(self, model, event):
+        # a schedule whose saturation value outruns the four caps of 32 is
+        # refused before any step, not clipped at the caps
+        with pytest.raises(ValidationError, match="exceeds the summed"):
+            simulate(model, event, Vdic(DroopSchedule(40.0, 200.0, 32.0)), SimConfig())
+
+    def test_all_zero_margins_rejected(self, event):
+        ffrs = [FfrSpec("a", 32.0, 8.0, 0.0), FfrSpec("b", 32.0, 8.0, 0.0)]
+        with pytest.raises(ValidationError, match="positive regulation margin"):
+            simulate(make_model(ffrs), event, ConstantDroop(10.0), SimConfig())
+
+    def test_negative_total_rejected(self):
+        # every built-in controller refuses a negative total at construction
+        with pytest.raises(ValidationError):
+            ConstantDroop(-1.0)
+        with pytest.raises(ValidationError):
+            DroopSchedule(40.0, 128.0, -1.0)
+        with pytest.raises(ValidationError):
+            DroopSchedule(40.0, -1.0, -2.0)
+
 
 class TestControllerObjects:
     def test_coefficient_matches_schedule(self):
