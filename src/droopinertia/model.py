@@ -24,6 +24,17 @@ def _require_finite(name: str, value: float) -> float:
     return float(value)
 
 
+def _require_label(name: str, value: str) -> str:
+    """value if it is a non-empty string a CSV header can carry as is: no
+    comma, quote, whitespace or line break; anything else raises
+    ValidationError."""
+    if not isinstance(value, str) or not value or any(
+            c in ',"\'' or c.isspace() for c in value):
+        raise ValidationError(f"{name} must be a non-empty string without commas, "
+                              f"quotes or whitespace, got {value!r}")
+    return value
+
+
 def _require_positive(name: str, value: float) -> float:
     _require_finite(name, value)
     if value <= 0.0:
@@ -53,7 +64,8 @@ class FfrSpec:
     """One fast frequency regulation resource (storage, HVDC link, ...).
 
     Attributes:
-        id: label used for per-resource trace columns.
+        id: label used for per-resource trace columns: a non-empty string
+            without commas, quotes or whitespace.
         droop_upper_bound: hard cap on this resource's droop coefficient
             (p.u. power per p.u. frequency deviation).
         droop_optimal: steady-state-optimal droop coefficient, <= the cap.
@@ -67,8 +79,7 @@ class FfrSpec:
     regulation_margin: float = 0.0
 
     def __post_init__(self):
-        if not self.id:
-            raise ValidationError("FfrSpec.id must be a non-empty label")
+        _require_label("FfrSpec.id", self.id)
         _require_positive("FfrSpec.droop_upper_bound", self.droop_upper_bound)
         _require_positive("FfrSpec.droop_optimal", self.droop_optimal)
         if self.droop_optimal > self.droop_upper_bound:

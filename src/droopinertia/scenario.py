@@ -27,7 +27,7 @@ from .controllers import (
 )
 from .errors import ConfigError, ValidationError
 from .model import (FfrSpec, GeneratorSpec, ImbalanceEvent, SimConfig, SystemModel,
-                    _require_finite)
+                    _require_finite, _require_label)
 from .simulate import Trace, simulate
 
 SUBCASES = ("no_control", "added_inertia", "constant_droop", "vdic")
@@ -106,7 +106,10 @@ def _get(section: dict, key: str, ctx: str):
     return section[key]
 
 
-def _section(doc: dict, key: str) -> dict:
+def _section(doc: dict, key: str, required: bool = True) -> dict | None:
+    """The object doc[key]; None for an optional block that is absent."""
+    if not required and key not in doc:
+        return None
     block = _get(doc, key, "config")
     if not isinstance(block, dict):
         raise ConfigError(f"config.{key} must be an object")
@@ -159,7 +162,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
         ]
         ffrs = [
             FfrSpec(
-                id=str(_get(f, "id", f"model.ffrs[{i}]")),
+                id=_require_label(f"model.ffrs[{i}].id", _get(f, "id", f"model.ffrs[{i}]")),
                 droop_upper_bound=_get(f, "droop_upper_bound", f"model.ffrs[{i}]"),
                 droop_optimal=_get(f, "droop_optimal", f"model.ffrs[{i}]"),
                 regulation_margin=f.get("regulation_margin", 0.0),
@@ -185,7 +188,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
             integrator=sim_sec.get("integrator", "rk4"),
         )
 
-        gov_sec = doc.get("governor")
+        gov_sec = _section(doc, "governor", required=False)
         if gov_sec is None:
             governor = GovernorSpec(enabled=False)
         else:
@@ -199,13 +202,14 @@ def load_config(path: str | Path) -> ScenarioConfig:
             )
 
         k_total = None
-        if "constant_droop" in doc:
+        droop_sec = _section(doc, "constant_droop", required=False)
+        if droop_sec is not None:
             k_total = _require_finite("constant_droop.k_total_pu", _get(
-                doc["constant_droop"], "k_total_pu", "constant_droop"))
+                droop_sec, "k_total_pu", "constant_droop"))
 
         schedule = None
-        if "vdic_schedule" in doc:
-            sched_sec = doc["vdic_schedule"]
+        sched_sec = _section(doc, "vdic_schedule", required=False)
+        if sched_sec is not None:
             schedule = DroopSchedule(
                 target_inertia=_get(sched_sec, "target_inertia_s", "vdic_schedule"),
                 upper_bound=_get(sched_sec, "upper_bound_pu", "vdic_schedule"),
@@ -213,9 +217,10 @@ def load_config(path: str | Path) -> ScenarioConfig:
             )
 
         added = None
-        if "added_inertia" in doc:
+        added_sec = _section(doc, "added_inertia", required=False)
+        if added_sec is not None:
             added = _require_finite("added_inertia.delta_tj_s", _get(
-                doc["added_inertia"], "delta_tj_s", "added_inertia"))
+                added_sec, "delta_tj_s", "added_inertia"))
 
         return ScenarioConfig(
             model=model,
@@ -375,24 +380,55 @@ TRACE_COLUMNS = ("t", "omega", "rocof", "ffr_power", "droop_active")
 
 _BLOCK_ROWS = 1024  # caps the formatted strings held at once, and so peak memory
 
+#: bytes of key plus formatted text that _KEPT may hold
+_KEPT_BUDGET = 7 << 20
 
-def _write_csv(path: str | Path, header: str, cols: list[np.ndarray], what: str) -> None:
+
+class _Kept(dict):
+    """Formatted blocks kept across writes, keyed like the per-block dict of
+    _write_csv, with the bytes of key plus text they hold."""
+
+    nbytes = 0
+
+    def clear(self) -> None:
+        super().clear()
+        self.nbytes = 0
+
+
+# the trace CSVs keep their t, omega and rocof blocks here, and the merged
+# case-study CSV, which repeats those columns, finds them; it empties this
+_KEPT = _Kept()
+
+
+def _write_csv(path: str | Path, header: str, cols: list[np.ndarray], what: str,
+               keep: int = 0) -> None:
     """Write equal-length columns under a header, each value as exactly ``repr``
     of its Python scalar. Rows go out in blocks; within one, a column slice that
-    is constant or bit-identical to an earlier slice is formatted only once."""
+    is constant or bit-identical to an earlier slice is formatted only once.
+    A block another write kept is not formatted again; the non-constant blocks
+    of the first ``keep`` columns are kept while _KEPT_BUDGET allows."""
     try:
         with open(path, "w", newline="") as f:
             f.write(header + "\n")
             for lo in range(0, len(cols[0]), _BLOCK_ROWS):
                 formatted: dict[tuple[str, bytes], list[str]] = {}
                 fields = []
-                for c in cols:
+                for i, c in enumerate(cols):
                     part = c[lo : lo + _BLOCK_ROWS]
                     key = (part.dtype.str, part.tobytes())
                     if key not in formatted:
-                        constant = key[1] == key[1][: part.itemsize] * part.size
-                        formatted[key] = ([repr(part[0].item())] * part.size if constant
-                                          else repr(part.tolist())[1:-1].split(", "))
+                        text = _KEPT.get(key)
+                        if text is not None:
+                            formatted[key] = text.split(", ")
+                        elif key[1] == key[1][: part.itemsize] * part.size:
+                            formatted[key] = [repr(part[0].item())] * part.size
+                        else:
+                            text = repr(part.tolist())[1:-1]
+                            size = len(key[1]) + len(text)
+                            if i < keep and _KEPT.nbytes + size <= _KEPT_BUDGET:
+                                _KEPT[key] = text
+                                _KEPT.nbytes += size
+                            formatted[key] = text.split(", ")
                     fields.append(formatted[key])
                 f.write("\n".join(map(",".join, zip(*fields, strict=True))) + "\n")
     except OSError as exc:
@@ -408,7 +444,7 @@ def emit_trace_csv(trace: Trace, path: str | Path) -> None:
     header = ",".join(TRACE_COLUMNS) + "".join(f",p_{i}" for i in trace.ffr_ids)
     cols = [trace.sample_times, trace.omega, trace.rocof, trace.ffr_power,
             trace.droop_active, *trace.per_ffr_power]
-    _write_csv(path, header, [np.asarray(c, float) for c in cols], "trace CSV")
+    _write_csv(path, header, [np.asarray(c, float) for c in cols], "trace CSV", keep=3)
 
 
 _EAGER_COLUMNS = (0, 2, 3)  # t, rocof, ffr_power: all that estimate_from_trace reads
@@ -524,16 +560,22 @@ def _read_deferred(path: Path, stamp: tuple[int, int], usecols: tuple[int, ...])
     """omega, droop_active and per_ffr_power of a trace file that must not
     have changed since read_trace_csv read it."""
     data = _parse_columns(path, stamp, usecols)
-    return data[:, 0], data[:, 1], data[:, 2:].T
+    per_ffr_power = data[:, 2:].T
+    per_ffr_power.flags.writeable = False  # as in a simulated trace
+    return data[:, 0], data[:, 1], per_ffr_power
 
 
 def emit_case_study_csv(result: CaseStudyResult, path: str | Path) -> None:
     """Merged four-subcase CSV keyed by time: omega and rocof per subcase,
-    each value exactly ``repr`` of its float, by the trace CSVs' writer."""
-    t = result.traces[SUBCASES[0]].sample_times
-    if not all(np.array_equal(result.traces[s].sample_times, t) for s in SUBCASES):
-        raise ValidationError("case-study traces are not on a common time grid")
-    names = [(q, s) for q in ("omega", "rocof") for s in SUBCASES]
-    header = "t" + "".join(f",{q}_{s}" for q, s in names)
-    cols = [t, *(getattr(result.traces[s], q) for q, s in names)]
-    _write_csv(path, header, [np.asarray(c, float) for c in cols], "case-study CSV")
+    each value exactly ``repr`` of its float, by the trace CSVs' writer. It
+    reuses the blocks that emit_trace_csv kept, and empties that store."""
+    try:
+        t = result.traces[SUBCASES[0]].sample_times
+        if not all(np.array_equal(result.traces[s].sample_times, t) for s in SUBCASES):
+            raise ValidationError("case-study traces are not on a common time grid")
+        names = [(q, s) for q in ("omega", "rocof") for s in SUBCASES]
+        header = "t" + "".join(f",{q}_{s}" for q, s in names)
+        cols = [t, *(getattr(result.traces[s], q) for q, s in names)]
+        _write_csv(path, header, [np.asarray(c, float) for c in cols], "case-study CSV")
+    finally:
+        _KEPT.clear()

@@ -55,8 +55,10 @@ class Trace:
     """Uniformly sampled simulation output.
 
     per_ffr_power has one row per FFR id, in roster order; rows sum to
-    ffr_power at every sample. rocof is the exact ODE right-hand side at
-    each sample state, not a finite difference.
+    ffr_power at every sample. It is read-only, and a broadcast of one row
+    when every FFR has the same margin and cap or none regulates. rocof is
+    the exact ODE right-hand side at each sample state, not a finite
+    difference.
 
     A trace read from CSV may hold omega, droop_active and per_ffr_power
     deferred: the first access to any of them parses all three.
@@ -105,15 +107,17 @@ def _roster_check(model: SystemModel, controller: Controller) -> None:
         raise ValidationError(
             "controller requests droop regulation but the model has no FFRs"
         )
-    cap_sum = sum(f.droop_upper_bound for f in model.ffrs)
-    if k_max > cap_sum * (1.0 + 1e-12):
-        raise ValidationError(
-            f"controller peak droop coefficient {k_max} exceeds the summed "
-            f"per-FFR bounds {cap_sum}"
-        )
-    if sum(f.regulation_margin for f in model.ffrs) <= 0.0:
+    # the margin-weighted split gives an FFR without margin no share, so
+    # only the caps of the others can carry the coefficient
+    caps = [f.droop_upper_bound for f in model.ffrs if f.regulation_margin > 0.0]
+    if not caps:
         raise ValidationError(
             "droop allocation needs at least one FFR with a positive regulation margin"
+        )
+    if k_max > sum(caps) * (1.0 + 1e-12):
+        raise ValidationError(
+            f"controller peak droop coefficient {k_max} exceeds the summed "
+            f"per-FFR bounds {sum(caps)} of the FFRs with a positive regulation margin"
         )
 
 
@@ -281,12 +285,21 @@ def _assemble_trace(model, event, controller, times, elapsed, omega, gov_series)
     ffr_power = -droop_active * omega
     rocof = np.where(post, (event.delta_pf + ffr_power + gov_series) / model.total_inertia, 0.0)
 
-    n_ffr = len(model.ffrs)
-    if n_ffr and controller.max_coefficient > 0.0:
-        per_ffr_coef = _allocate_series(droop_active, model.ffrs)
-        per_ffr_power = per_ffr_coef * (-omega)[None, :]
+    ffrs = model.ffrs
+    if not ffrs or controller.max_coefficient <= 0.0:
+        per_ffr_power = np.broadcast_to(0.0, (len(ffrs), times.size))
     else:
-        per_ffr_power = np.zeros((n_ffr, times.size))
+        # the split of one coefficient does not depend on the sample, so it
+        # is computed once per distinct bit pattern (-0.0 and NaN included)
+        distinct, inverse = np.unique(droop_active.view(np.int64), return_inverse=True)
+        per_ffr_coef = _allocate_series(distinct.view(np.float64), ffrs)
+        if len({(f.regulation_margin, f.droop_upper_bound) for f in ffrs}) == 1:
+            # identical FFRs get bit-identical rows: keep one
+            row = per_ffr_coef[0][inverse] * -omega
+            per_ffr_power = np.broadcast_to(row, (len(ffrs), row.size))
+        else:
+            per_ffr_power = per_ffr_coef[:, inverse] * -omega
+            per_ffr_power.flags.writeable = False
 
     return Trace(
         sample_times=times,

@@ -4,8 +4,18 @@ import json
 import numpy as np
 import pytest
 
-from droopinertia import cli
-from droopinertia.scenario import _write_csv, default_config_path
+from dataclasses import replace
+
+from droopinertia import cli, scenario
+from droopinertia.scenario import (
+    SUBCASES,
+    _write_csv,
+    default_config_path,
+    emit_case_study_csv,
+    emit_trace_csv,
+    load_config,
+    run_case_study,
+)
 
 
 def run_cli(*argv):
@@ -27,7 +37,12 @@ WRONG_TYPES = {
     "generator-number": (("model", "generators", 0), 3, "model.generators[0]"),
     "governor_enabled-string": (("governor", "enabled"), "false", "governor.enabled"),
     "time_step-bool": (("sim", "time_step_s"), True, "time_step"),
+    "ffr_id-comma": (("model", "ffrs", 0, "id"), "a,b", "model.ffrs[0].id"),
+    "ffr_id-number": (("model", "ffrs", 0, "id"), 5, "model.ffrs[0].id"),
 }
+
+# each optional block set to a number
+OPTIONAL_BLOCKS = ("governor", "constant_droop", "vdic_schedule", "added_inertia")
 
 
 class TestSimulateCommand:
@@ -79,6 +94,19 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error:") and field in err
+        assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("block", OPTIONAL_BLOCKS)
+    def test_optional_block_not_an_object_exits_2(self, tmp_path, capsys, block):
+        doc = json.loads(default_config_path().read_text())
+        doc[block] = 5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code = run_cli("simulate", "--config", str(bad), "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: config.{block} must be an object")
         assert "Traceback" not in err
 
 
@@ -261,3 +289,78 @@ class TestUnwritableOutput:
         assert run_cli(*self._argv(command, trace, out)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write ") and str(out / name) in err
+
+
+def _kept_bytes():
+    return sum(len(key[1]) + len(text) for key, text in scenario._KEPT.items())
+
+
+class TestKeptBlocks:
+    """The t, omega and rocof blocks that emit_trace_csv formats are kept for
+    the merged CSV, within the budget, until emit_case_study_csv returns."""
+
+    @pytest.fixture
+    def result(self):
+        cfg = load_config(default_config_path())
+        scenario._KEPT.clear()
+        return run_case_study(replace(cfg, sim=replace(cfg.sim, time_step=0.01,
+                                                       duration=20.0)))
+
+    def _emit_traces(self, result, out):
+        for sub in SUBCASES:
+            emit_trace_csv(result.traces[sub], out / f"trace_{sub}.csv")
+
+    def test_keyed_by_content_not_by_object(self, result, tmp_path):
+        self._emit_traces(result, tmp_path)
+        omega = result.traces["vdic"].omega
+        stale = (omega.dtype.str, omega[1024:2048].tobytes())
+        assert stale in scenario._KEPT
+        omega[1024:] = omega[1024:] * 1.5 + 1e-3  # the same array, new values
+        emit_case_study_csv(result, tmp_path / "case_study.csv")
+        names = [(q, s) for q in ("omega", "rocof") for s in SUBCASES]
+        header = "t" + "".join(f",{q}_{s}" for q, s in names)
+        cols = [result.traces[SUBCASES[0]].sample_times,
+                *(getattr(result.traces[s], q) for q, s in names)]
+        assert (tmp_path / "case_study.csv").read_text() == _reference_csv(header, cols)
+
+    def test_emptied_when_emit_case_study_csv_returns(self, result, tmp_path):
+        self._emit_traces(result, tmp_path)
+        assert scenario._KEPT
+        emit_case_study_csv(result, tmp_path / "case_study.csv")
+        assert not scenario._KEPT and scenario._KEPT.nbytes == 0
+
+    def test_emptied_when_emit_case_study_csv_raises(self, result, tmp_path):
+        self._emit_traces(result, tmp_path)
+        (tmp_path / "taken").mkdir()
+        with pytest.raises(OSError):
+            emit_case_study_csv(result, tmp_path / "taken")
+        assert not scenario._KEPT and scenario._KEPT.nbytes == 0
+        self._emit_traces(result, tmp_path)
+        traces = dict(result.traces)
+        traces["vdic"] = replace(traces["vdic"], sample_times=traces["vdic"].sample_times + 1.0)
+        with pytest.raises(ValueError, match="common time grid"):
+            emit_case_study_csv(replace(result, traces=traces), tmp_path / "case_study.csv")
+        assert not scenario._KEPT and scenario._KEPT.nbytes == 0
+
+    def test_within_budget_during_bundled_case_study(self, tmp_path, monkeypatch):
+        scenario._KEPT.clear()
+        held = []
+
+        def write_csv(*args, **kwargs):
+            _write_csv(*args, **kwargs)
+            held.append(_kept_bytes())
+            assert held[-1] == scenario._KEPT.nbytes
+
+        monkeypatch.setattr(scenario, "_write_csv", write_csv)
+        assert run_cli("case-study", "--out", str(tmp_path / "cs")) == 0
+        assert len(held) == 5
+        # the bundled traces fill the budget before the fourth trace CSV
+        assert 0.9 * scenario._KEPT_BUDGET < max(held) <= scenario._KEPT_BUDGET
+        assert not scenario._KEPT and scenario._KEPT.nbytes == 0
+
+    def test_estimate_keeps_nothing(self, result, tmp_path):
+        emit_trace_csv(result.traces["vdic"], tmp_path / "trace_vdic.csv")
+        scenario._KEPT.clear()
+        assert run_cli("estimate", str(tmp_path / "trace_vdic.csv"),
+                       "--out", str(tmp_path)) == 0
+        assert not scenario._KEPT and scenario._KEPT.nbytes == 0

@@ -59,6 +59,16 @@ class TestFfrSpec:
         with pytest.raises(ValidationError):
             FfrSpec("", 32.0, 8.0)
 
+    @pytest.mark.parametrize("label", ["a,b", 'a"b', "a'b", "a b", "a\nb", "a\r", "\tb",
+                                       "a\u2028b", 5, None, b"ab"])
+    def test_id_a_csv_header_cannot_carry_rejected(self, label):
+        with pytest.raises(ValidationError, match="FfrSpec.id"):
+            FfrSpec(label, 32.0, 8.0)
+
+    @pytest.mark.parametrize("label", ["hvdc1", "a-b_c.d", "p_x", "\u00e9olien"])
+    def test_header_safe_id_accepted(self, label):
+        assert FfrSpec(label, 32.0, 8.0).id == label
+
 
 class TestSystemModel:
     def test_total_inertia_matches_aggregate(self, model):

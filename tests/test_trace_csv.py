@@ -7,10 +7,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from droopinertia import (
     ConstantDroop,
     DroopSchedule,
+    FfrSpec,
     ImbalanceEvent,
     NoControl,
     SimConfig,
@@ -85,6 +88,37 @@ class TestFieldsMatchFullParse:
         trace = read_trace_csv(bundled_trace)
         estimate_from_trace(trace, 39.2, -0.3)
         assert "omega" not in vars(trace)
+
+
+def _accepted(label):
+    try:
+        FfrSpec(label, 32.0, 8.0)
+    except ValidationError:
+        return False
+    return True
+
+
+# any id the constructor accepts, from printable and other non-surrogate text
+IDS = st.lists(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
+                       max_size=6).filter(_accepted),
+               min_size=1, max_size=3, unique=True)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(IDS)
+def test_any_accepted_id_round_trips(tmp_path_factory, ids):
+    ffrs = [FfrSpec(label, 32.0, 8.0, 0.25) for label in ids]
+    trace = simulate(make_model(ffrs), EVENT, ConstantDroop(16.0), SimConfig(1e-2, 2.0))
+    path = tmp_path_factory.mktemp("ids") / "trace.csv"
+    emit_trace_csv(trace, path)
+    back = read_trace_csv(path)
+    assert back.ffr_ids == trace.ffr_ids
+    for field in dataclasses.fields(Trace):
+        value = getattr(trace, field.name)
+        if isinstance(value, np.ndarray):
+            assert _same_bits(np.asarray(getattr(back, field.name)), np.asarray(value))
+        else:
+            assert getattr(back, field.name) == value
 
 
 class TestReadTraceIsATrace:
