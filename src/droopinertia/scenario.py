@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import weakref
 from dataclasses import dataclass, replace
 from functools import partial
 from importlib import resources
@@ -390,6 +391,21 @@ class _Kept(dict):
 
     nbytes = 0
 
+    def keep(self, key: tuple[str, bytes], text: str, source: np.ndarray) -> None:
+        """Keep text under key if the budget has room, and only while the
+        array it was formatted from lives, so that a process that writes
+        traces and no case study does not hold their text."""
+        size = len(key[1]) + len(text)
+        if self.nbytes + size <= _KEPT_BUDGET:
+            self[key] = text
+            self.nbytes += size
+            weakref.finalize(source, self.drop, key)
+
+    def drop(self, key: tuple[str, bytes]) -> None:
+        text = self.pop(key, None)
+        if text is not None:
+            self.nbytes -= len(key[1]) + len(text)
+
     def clear(self) -> None:
         super().clear()
         self.nbytes = 0
@@ -424,10 +440,8 @@ def _write_csv(path: str | Path, header: str, cols: list[np.ndarray], what: str,
                             formatted[key] = [repr(part[0].item())] * part.size
                         else:
                             text = repr(part.tolist())[1:-1]
-                            size = len(key[1]) + len(text)
-                            if i < keep and _KEPT.nbytes + size <= _KEPT_BUDGET:
-                                _KEPT[key] = text
-                                _KEPT.nbytes += size
+                            if i < keep:
+                                _KEPT.keep(key, text, c)
                             formatted[key] = text.split(", ")
                     fields.append(formatted[key])
                 f.write("\n".join(map(",".join, zip(*fields, strict=True))) + "\n")

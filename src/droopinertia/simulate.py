@@ -48,6 +48,9 @@ from .model import ImbalanceEvent, SimConfig, SystemModel
 _BAND_STEP_FRACTION = 0.125
 # max lambda*h inside the saturated segment of a VDIC schedule
 _SAT_STEP_LIMIT = 0.35
+# distinct coefficients allocated at once, which bounds the fixpoint's
+# temporaries for a large fleet
+_ALLOCATION_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -292,14 +295,16 @@ def _assemble_trace(model, event, controller, times, elapsed, omega, gov_series)
         # the split of one coefficient does not depend on the sample, so it
         # is computed once per distinct bit pattern (-0.0 and NaN included)
         distinct, inverse = np.unique(droop_active.view(np.int64), return_inverse=True)
-        per_ffr_coef = _allocate_series(distinct.view(np.float64), ffrs)
-        if len({(f.regulation_margin, f.droop_upper_bound) for f in ffrs}) == 1:
-            # identical FFRs get bit-identical rows: keep one
-            row = per_ffr_coef[0][inverse] * -omega
-            per_ffr_power = np.broadcast_to(row, (len(ffrs), row.size))
-        else:
-            per_ffr_power = per_ffr_coef[:, inverse] * -omega
-            per_ffr_power.flags.writeable = False
+        distinct = distinct.view(np.float64)
+        # identical FFRs get bit-identical rows: keep one
+        rows = 1 if len({(f.regulation_margin, f.droop_upper_bound) for f in ffrs}) == 1 \
+            else len(ffrs)
+        per_ffr_coef = np.empty((rows, distinct.size))
+        for lo in range(0, distinct.size, _ALLOCATION_CHUNK):
+            chunk = slice(lo, lo + _ALLOCATION_CHUNK)
+            per_ffr_coef[:, chunk] = _allocate_series(distinct[chunk], ffrs)[:rows]
+        # read-only, and a view of one row for identical FFRs
+        per_ffr_power = np.broadcast_to(per_ffr_coef[:, inverse] * -omega, (len(ffrs), times.size))
 
     return Trace(
         sample_times=times,

@@ -189,3 +189,17 @@ def test_peak_beyond_the_margined_caps_refused(margined, idle, within):
     with pytest.raises(ValidationError, match="exceeds the summed per-FFR bounds"):
         run((ffrs, ConstantDroop(peak), ImbalanceEvent(-0.3), SimConfig(1e-3, 0.5),
              GovernorSpec()))
+
+
+def test_many_distinct_coefficients_match_full_width_allocation():
+    # an unbounded schedule gives every sample its own coefficient, more
+    # than simulate allocates at once
+    ffrs = [FfrSpec("a", 1e12, 1.0, 1.0), FfrSpec("b", 1e12, 1.0, 3.0),
+            FfrSpec("c", 5e11, 1.0, 0.5)]
+    controller = Vdic(DroopSchedule(40.0, 2e12, 1e-12))
+    case = (ffrs, controller, ImbalanceEvent(-0.3, 0.5), SimConfig(1e-3, 6.0),
+            GovernorSpec(enabled=True))
+    trace = run(case)
+    assert np.unique(trace.droop_active).size > 5000
+    expected = oracle_per_ffr_power(trace, ffrs, controller)
+    assert np.asarray(trace.per_ffr_power).tobytes() == expected.tobytes()

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 
@@ -363,4 +364,15 @@ class TestKeptBlocks:
         scenario._KEPT.clear()
         assert run_cli("estimate", str(tmp_path / "trace_vdic.csv"),
                        "--out", str(tmp_path)) == 0
+        assert not scenario._KEPT and scenario._KEPT.nbytes == 0
+
+    def test_dropped_with_the_trace(self, tmp_path):
+        scenario._KEPT.clear()
+        cfg = load_config(default_config_path())
+        trace, _ = cli.run_subcase(replace(cfg, sim=replace(cfg.sim, time_step=0.01,
+                                                            duration=20.0)))
+        emit_trace_csv(trace, tmp_path / "trace.csv")
+        assert scenario._KEPT
+        del trace
+        gc.collect()
         assert not scenario._KEPT and scenario._KEPT.nbytes == 0
