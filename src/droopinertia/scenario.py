@@ -412,7 +412,8 @@ class _Kept(dict):
 
 
 # the trace CSVs keep their t, omega and rocof blocks here, and the merged
-# case-study CSV, which repeats those columns, finds them; it empties this
+# case-study CSV, which repeats those columns, finds them;
+# emit_case_study_csv empties it
 _KEPT = _Kept()
 
 

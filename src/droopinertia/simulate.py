@@ -296,9 +296,8 @@ def _assemble_trace(model, event, controller, times, elapsed, omega, gov_series)
         # is computed once per distinct bit pattern (-0.0 and NaN included)
         distinct, inverse = np.unique(droop_active.view(np.int64), return_inverse=True)
         distinct = distinct.view(np.float64)
-        # identical FFRs get bit-identical rows: keep one
-        rows = 1 if len({(f.regulation_margin, f.droop_upper_bound) for f in ffrs}) == 1 \
-            else len(ffrs)
+        identical = len({(f.regulation_margin, f.droop_upper_bound) for f in ffrs}) == 1
+        rows = 1 if identical else len(ffrs)  # identical FFRs get bit-identical rows
         per_ffr_coef = np.empty((rows, distinct.size))
         for lo in range(0, distinct.size, _ALLOCATION_CHUNK):
             chunk = slice(lo, lo + _ALLOCATION_CHUNK)
