@@ -25,13 +25,13 @@ def _require_finite(name: str, value: float) -> float:
 
 
 def _require_label(name: str, value: str) -> str:
-    """value if it is a non-empty string a CSV header can carry as is: no
-    comma, quote, whitespace or line break; anything else raises
-    ValidationError."""
-    if not isinstance(value, str) or not value or any(
-            c in ',"\'' or c.isspace() for c in value):
-        raise ValidationError(f"{name} must be a non-empty string without commas, "
-                              f"quotes or whitespace, got {value!r}")
+    """value if it is a non-empty string a CSV header can carry as is:
+    printable (so no line break and no lone surrogate), with no comma, quote
+    or space; anything else raises ValidationError."""
+    if (not isinstance(value, str) or not value or not value.isprintable()
+            or any(c in ' ,"\'' for c in value)):
+        raise ValidationError(f"{name} must be a non-empty printable string without "
+                              f"commas, quotes or whitespace, got {value!r}")
     return value
 
 
@@ -64,8 +64,8 @@ class FfrSpec:
     """One fast frequency regulation resource (storage, HVDC link, ...).
 
     Attributes:
-        id: label used for per-resource trace columns: a non-empty string
-            without commas, quotes or whitespace.
+        id: label used for per-resource trace columns: a non-empty
+            printable string without commas, quotes or whitespace.
         droop_upper_bound: hard cap on this resource's droop coefficient
             (p.u. power per p.u. frequency deviation).
         droop_optimal: steady-state-optimal droop coefficient, <= the cap.

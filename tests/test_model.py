@@ -60,7 +60,7 @@ class TestFfrSpec:
             FfrSpec("", 32.0, 8.0)
 
     @pytest.mark.parametrize("label", ["a,b", 'a"b', "a'b", "a b", "a\nb", "a\r", "\tb",
-                                       "a\u2028b", 5, None, b"ab"])
+                                       "a\u2028b", "a\u00a0b", "\ud800", "a\x00", 5, None, b"ab"])
     def test_id_a_csv_header_cannot_carry_rejected(self, label):
         with pytest.raises(ValidationError, match="FfrSpec.id"):
             FfrSpec(label, 32.0, 8.0)

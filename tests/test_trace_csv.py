@@ -98,9 +98,8 @@ def _accepted(label):
     return True
 
 
-# any id the constructor accepts, from printable and other non-surrogate text
-IDS = st.lists(st.text(st.characters(blacklist_categories=("Cs",)), min_size=1,
-                       max_size=6).filter(_accepted),
+# any id the constructor accepts
+IDS = st.lists(st.text(min_size=1, max_size=6).filter(_accepted),
                min_size=1, max_size=3, unique=True)
 
 
