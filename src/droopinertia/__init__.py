@@ -49,7 +49,7 @@ from .scenario import (
     run_subcase,
     summarize,
 )
-from .simulate import Trace, simulate
+from .integrate import Trace, simulate
 
 __version__ = "0.1.0"
 

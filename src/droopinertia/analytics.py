@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .simulate import Trace
+from .integrate import Trace
 
 #: below this |delta_pf + delta_pr| the equivalent inertia is unbounded
 #: (regulation fully offsets the imbalance) and estimates are flagged invalid

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
 from .model import _require_finite, _require_positive
 
@@ -101,27 +103,21 @@ def vdic_coefficient(schedule: DroopSchedule, elapsed: float) -> float:
 # --------------------------------------------------------------------------
 
 class Controller:
-    """Base droop-law controller: subclasses define coefficient(elapsed)."""
+    """Base droop-law controller: subclasses define coefficient(elapsed), and
+    may override coefficients, the same law over an array of post-onset
+    elapsed times, with a vectorised form that gives the same bits."""
 
     def coefficient(self, elapsed: float) -> float:
         raise NotImplementedError
+
+    def coefficients(self, elapsed: np.ndarray) -> np.ndarray:
+        return np.array([self.coefficient(float(e)) for e in elapsed], dtype=float)
 
     @property
     def max_coefficient(self) -> float:
         """Largest coefficient the controller can request; used to check the
         FFR roster can actually carry the allocation."""
         raise NotImplementedError
-
-
-class NoControl(Controller):
-    """FFRs idle; only rotating inertia (and optionally the governor) acts."""
-
-    def coefficient(self, elapsed: float) -> float:
-        return 0.0
-
-    @property
-    def max_coefficient(self) -> float:
-        return 0.0
 
 
 class ConstantDroop(Controller):
@@ -134,9 +130,19 @@ class ConstantDroop(Controller):
     def coefficient(self, elapsed: float) -> float:
         return self.k_total
 
+    def coefficients(self, elapsed: np.ndarray) -> np.ndarray:
+        return np.full(elapsed.shape, self.k_total)
+
     @property
     def max_coefficient(self) -> float:
         return self.k_total
+
+
+class NoControl(ConstantDroop):
+    """Constant droop at k = 0: FFRs idle, only inertia and the governor act."""
+
+    def __init__(self):
+        super().__init__(0.0)
 
 
 class Vdic(Controller):
@@ -145,6 +151,12 @@ class Vdic(Controller):
 
     def coefficient(self, elapsed: float) -> float:
         return vdic_coefficient(self.schedule, elapsed)
+
+    def coefficients(self, elapsed: np.ndarray) -> np.ndarray:
+        s = self.schedule
+        with np.errstate(divide="ignore", over="ignore"):  # elapsed 0 takes the upper bound
+            k = np.minimum(s.upper_bound, np.maximum(s.lower_bound, s.target_inertia / elapsed))
+        return np.where(elapsed > 0.0, k, s.upper_bound)
 
     @property
     def max_coefficient(self) -> float:

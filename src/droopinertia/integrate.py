@@ -21,14 +21,16 @@ Numerics notes, all load-bearing:
   deterministic function of the schedule parameters only. A constant
   coefficient k splits an output step into equal substeps with k*h/t_j
   within RK4's stability bound.
-* One dispatch (_select_kernel) picks the loop. Under RK4, NoControl,
-  ConstantDroop and Vdic themselves (not subclasses) run a kernel from the
-  kernels module, specialised to a constant coefficient or to the inline
-  clamp(T/t, L, U), with the governor on or off. A kernel does the
-  floating-point operations of the generic loop in the same order, so its
-  traces are bit-identical to the generic loop's; tests pin the sha256 of
-  the output bits. Custom Controller subclasses and integrator="euler"
-  take the generic loop, which calls controller.coefficient at each stage.
+* One dispatch (_select_kernel), the only code that branches on the
+  controller's type, picks the loop. Under RK4, NoControl (ConstantDroop
+  at k = 0), ConstantDroop and Vdic themselves (not subclasses) run a
+  kernel from the kernels module, specialised to a constant coefficient or
+  to the inline clamp(T/t, L, U), with the governor on or off. A kernel
+  does the generic loop's floating-point operations in the same order, so
+  its traces are bit-identical to the generic loop's; tests pin the sha256
+  of the output bits. Custom Controller subclasses and integrator="euler"
+  take the generic loop, which calls controller.coefficient at each stage;
+  droop_active is controller.coefficients over the post-onset samples.
 * A non-finite state is reported as the first non-finite output sample.
 """
 
@@ -284,7 +286,8 @@ def _generic(coef, pieces, rk4, elapsed, i_first, omega, gov_series, dpf, t_j, g
 
 def _assemble_trace(model, event, controller, times, elapsed, omega, gov_series) -> Trace:
     post = elapsed >= 0.0
-    droop_active = _coefficient_series(controller, elapsed, post)
+    droop_active = np.zeros_like(elapsed)
+    droop_active[post] = controller.coefficients(elapsed[post])
     ffr_power = -droop_active * omega
     rocof = np.where(post, (event.delta_pf + ffr_power + gov_series) / model.total_inertia, 0.0)
 
@@ -315,28 +318,6 @@ def _assemble_trace(model, event, controller, times, elapsed, omega, gov_series)
         ffr_ids=tuple(f.id for f in model.ffrs),
         onset_time=event.onset_time,
     )
-
-
-def _coefficient_series(controller: Controller, elapsed: np.ndarray,
-                        post: np.ndarray) -> np.ndarray:
-    """Vectorized controller.coefficient over the sample grid (0 before onset)."""
-    k = np.zeros_like(elapsed)
-    if isinstance(controller, Vdic):
-        sch = controller.schedule
-        pos = elapsed > 0.0
-        with np.errstate(divide="ignore"):
-            k[pos] = np.minimum(
-                sch.upper_bound,
-                np.maximum(sch.lower_bound, sch.target_inertia / elapsed[pos]),
-            )
-        k[post & ~pos] = sch.upper_bound
-    elif isinstance(controller, ConstantDroop):
-        k[post] = controller.k_total
-    elif not isinstance(controller, NoControl):
-        # custom controller: fall back to per-sample queries
-        idx = np.nonzero(post)[0]
-        k[idx] = [controller.coefficient(float(e)) for e in elapsed[idx]]
-    return k
 
 
 def _allocate_series(k_total: np.ndarray, ffrs) -> np.ndarray:

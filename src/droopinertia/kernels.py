@@ -1,12 +1,12 @@
 """Specialised RK4 kernels for the built-in controllers.
 
-Each kernel repeats the RK4 arithmetic of simulate._generic operation for
+Each kernel repeats the RK4 arithmetic of integrate._generic operation for
 operation, so its trace is bit-identical to the generic loop's; a kernel
 differs only in what it leaves out. With the governor off, p stays exactly
 +0.0: its arithmetic is dropped, and so is "+ p" in the omega derivative
 (x + 0.0 == x because dpf - k*w, with dpf nonzero, is never -0.0). The
 coefficient at a substep's end is the next substep's start coefficient, so
-it is computed once. The VDIC kernels inline simulate._vdic_pieces and
+it is computed once. The VDIC kernels inline integrate._vdic_pieces and
 controllers.vdic_coefficient, writing each min() and max() as comparisons
 that pick the same value; the coefficient at elapsed 0, where only the
 first substep after the onset starts, is the upper bound. Samples are read
@@ -96,7 +96,7 @@ def rk4_constant_governed(k, cap, elapsed, i_first, omega, gov_series, dpf, t_j,
 def rk4_vdic(T, U, L, t_sat, t_floor, cap_sat, cap_floor, q,
              elapsed, i_first, omega, gov_series, dpf, t_j, g, tg):
     """RK4 under the bounded VDIC coefficient clamp(T/t, L, U), governor off,
-    on the substeps of simulate._vdic_pieces."""
+    on the substeps of integrate._vdic_pieces."""
     el, om = memoryview(elapsed), memoryview(omega)
     w = cw = a = 0.0
     for j in range(i_first, len(el)):
@@ -147,7 +147,7 @@ def rk4_vdic(T, U, L, t_sat, t_floor, cap_sat, cap_floor, q,
 def rk4_vdic_governed(T, U, L, t_sat, t_floor, cap_sat, cap_floor, q,
                       elapsed, i_first, omega, gov_series, dpf, t_j, g, tg):
     """RK4 under the bounded VDIC coefficient clamp(T/t, L, U), governor on,
-    on the substeps of simulate._vdic_pieces."""
+    on the substeps of integrate._vdic_pieces."""
     el, om, gm = memoryview(elapsed), memoryview(omega), memoryview(gov_series)
     ng = -g
     w = cw = p = cp = a = 0.0

@@ -29,7 +29,7 @@ from .controllers import (
 from .errors import ConfigError, ValidationError
 from .model import (FfrSpec, GeneratorSpec, ImbalanceEvent, SimConfig, SystemModel,
                     _require_finite, _require_label)
-from .simulate import Trace, simulate
+from .integrate import Trace, simulate
 
 SUBCASES = ("no_control", "added_inertia", "constant_droop", "vdic")
 
@@ -107,22 +107,32 @@ def _get(section: dict, key: str, ctx: str):
     return section[key]
 
 
-def _section(doc: dict, key: str, required: bool = True) -> dict | None:
-    """The object doc[key]; None for an optional block that is absent."""
+def _known(block: dict, ctx: str, fields: str) -> dict:
+    """block, once each of its keys is one of the space-separated fields."""
+    for key in block:
+        if key not in fields.split():
+            raise ConfigError(f"unknown field {ctx}.{key}")
+    return block
+
+
+def _section(doc: dict, key: str, fields: str, required: bool = True) -> dict | None:
+    """The object doc[key], holding only the given fields; None for an
+    optional block that is absent."""
     if not required and key not in doc:
         return None
     block = _get(doc, key, "config")
     if not isinstance(block, dict):
         raise ConfigError(f"config.{key} must be an object")
-    return block
+    return _known(block, key, fields)
 
 
-def _entries(items, ctx: str) -> list[dict]:
+def _entries(items, ctx: str, fields: str) -> list[dict]:
     if not isinstance(items, list):
         raise ConfigError(f"{ctx} must be a list")
     for i, item in enumerate(items):
         if not isinstance(item, dict):
             raise ConfigError(f"{ctx}[{i}] must be an object")
+        _known(item, f"{ctx}[{i}]", fields)
     return items
 
 
@@ -130,8 +140,9 @@ def load_config(path: str | Path) -> ScenarioConfig:
     """Parse and fully validate a scenario config file.
 
     Raises ConfigError with the file name plus the offending field (or JSON
-    position for parse errors). All nested invariants are checked here, at
-    load time, not when the simulation starts.
+    position for parse errors), also for a field the schema does not know.
+    All nested invariants are checked here, at load time, not when the
+    simulation starts.
     """
     path = Path(path)
     try:
@@ -148,18 +159,21 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ConfigError(f"{path}: top level must be a JSON object")
 
     version = doc.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ConfigError(f"{path}: unsupported schema_version {version!r}")
 
     try:
-        model_sec = _section(doc, "model")
+        _known(doc, "config", "schema_version model event sim subcase governor "
+               "constant_droop vdic_schedule added_inertia")
+        model_sec = _section(doc, "model", "system_base_mva generators ffrs")
         generators = [
             GeneratorSpec(
                 nominal_power=_get(g, "nominal_power_mva", f"model.generators[{i}]"),
                 inertia_constant=_get(g, "inertia_constant_s", f"model.generators[{i}]"),
             )
             for i, g in enumerate(_entries(_get(model_sec, "generators", "model"),
-                                           "model.generators"))
+                                           "model.generators",
+                                           "nominal_power_mva inertia_constant_s"))
         ]
         ffrs = [
             FfrSpec(
@@ -168,7 +182,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
                 droop_optimal=_get(f, "droop_optimal", f"model.ffrs[{i}]"),
                 regulation_margin=f.get("regulation_margin", 0.0),
             )
-            for i, f in enumerate(_entries(model_sec.get("ffrs", []), "model.ffrs"))
+            for i, f in enumerate(_entries(model_sec.get("ffrs", []), "model.ffrs",
+                                           "id droop_upper_bound droop_optimal regulation_margin"))
         ]
         model = SystemModel(
             system_base=_get(model_sec, "system_base_mva", "model"),
@@ -176,52 +191,46 @@ def load_config(path: str | Path) -> ScenarioConfig:
             ffrs=ffrs,
         )
 
-        event_sec = _section(doc, "event")
+        event_sec = _section(doc, "event", "delta_pf_pu onset_time_s")
         event = ImbalanceEvent(
             delta_pf=_get(event_sec, "delta_pf_pu", "event"),
             onset_time=event_sec.get("onset_time_s", 0.0),
         )
 
-        sim_sec = _section(doc, "sim")
+        sim_sec = _section(doc, "sim", "time_step_s duration_s integrator")
         sim = SimConfig(
             time_step=sim_sec.get("time_step_s", 1e-3),
             duration=sim_sec.get("duration_s", 20.0),
             integrator=sim_sec.get("integrator", "rk4"),
         )
 
-        gov_sec = _section(doc, "governor", required=False)
-        if gov_sec is None:
-            governor = GovernorSpec(enabled=False)
-        else:
-            enabled = gov_sec.get("enabled", False)
-            if not isinstance(enabled, bool):
-                raise ConfigError(f"governor.enabled must be true or false, got {enabled!r}")
-            governor = GovernorSpec(
-                enabled=enabled,
-                droop_gain=gov_sec.get("droop_gain_pu", 25.0),
-                time_constant=gov_sec.get("time_constant_s", 8.0),
-            )
+        # an absent governor block reads as the defaults, with enabled false
+        gov_sec = _section(doc, "governor", "enabled droop_gain_pu time_constant_s",
+                           required=False) or {}
+        enabled = gov_sec.get("enabled", False)
+        if not isinstance(enabled, bool):
+            raise ConfigError(f"governor.enabled must be true or false, got {enabled!r}")
+        governor = GovernorSpec(
+            enabled=enabled,
+            droop_gain=gov_sec.get("droop_gain_pu", 25.0),
+            time_constant=gov_sec.get("time_constant_s", 8.0),
+        )
 
-        k_total = None
-        droop_sec = _section(doc, "constant_droop", required=False)
-        if droop_sec is not None:
-            k_total = _require_finite("constant_droop.k_total_pu", _get(
-                droop_sec, "k_total_pu", "constant_droop"))
+        droop_sec = _section(doc, "constant_droop", "k_total_pu", required=False)
+        k_total = None if droop_sec is None else _require_finite(
+            "constant_droop.k_total_pu", _get(droop_sec, "k_total_pu", "constant_droop"))
 
-        schedule = None
-        sched_sec = _section(doc, "vdic_schedule", required=False)
-        if sched_sec is not None:
-            schedule = DroopSchedule(
-                target_inertia=_get(sched_sec, "target_inertia_s", "vdic_schedule"),
-                upper_bound=_get(sched_sec, "upper_bound_pu", "vdic_schedule"),
-                lower_bound=_get(sched_sec, "lower_bound_pu", "vdic_schedule"),
-            )
+        sched_sec = _section(doc, "vdic_schedule",
+                             "target_inertia_s upper_bound_pu lower_bound_pu", required=False)
+        schedule = None if sched_sec is None else DroopSchedule(
+            target_inertia=_get(sched_sec, "target_inertia_s", "vdic_schedule"),
+            upper_bound=_get(sched_sec, "upper_bound_pu", "vdic_schedule"),
+            lower_bound=_get(sched_sec, "lower_bound_pu", "vdic_schedule"),
+        )
 
-        added = None
-        added_sec = _section(doc, "added_inertia", required=False)
-        if added_sec is not None:
-            added = _require_finite("added_inertia.delta_tj_s", _get(
-                added_sec, "delta_tj_s", "added_inertia"))
+        added_sec = _section(doc, "added_inertia", "delta_tj_s", required=False)
+        added = None if added_sec is None else _require_finite(
+            "added_inertia.delta_tj_s", _get(added_sec, "delta_tj_s", "added_inertia"))
 
         return ScenarioConfig(
             model=model,
@@ -305,12 +314,9 @@ def run_case_study(config: ScenarioConfig) -> CaseStudyResult:
 
     The config must carry both the constant_droop and vdic_schedule blocks;
     an added_inertia block, if present, must agree with the schedule's
-    target inertia (the added-inertia subcase uses that target).
+    target inertia (the added-inertia subcase uses that target). Every
+    subcase's config is built, and so checked, before any is run.
     """
-    if config.k_total is None:
-        raise ValidationError(
-            "case study requires the constant_droop.k_total_pu block"
-        )
     if config.vdic_schedule is None:
         raise ValidationError("case study requires the vdic_schedule block")
     delta_tj = config.vdic_schedule.target_inertia
@@ -320,11 +326,11 @@ def run_case_study(config: ScenarioConfig) -> CaseStudyResult:
             f"({config.added_inertia}) differs from vdic_schedule.target_inertia_s "
             f"({delta_tj})"
         )
+    configs = {sub: replace(config, subcase=sub, added_inertia=delta_tj) for sub in SUBCASES}
 
     traces: dict[str, Trace] = {}
     metrics: dict[str, SummaryMetrics] = {}
-    for sub in SUBCASES:
-        sub_cfg = replace(config, subcase=sub, added_inertia=delta_tj)
+    for sub, sub_cfg in configs.items():
         traces[sub], metrics[sub] = run_subcase(sub_cfg)
 
     return CaseStudyResult(traces, metrics, _ordering_report(config, traces, metrics))

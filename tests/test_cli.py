@@ -40,10 +40,40 @@ WRONG_TYPES = {
     "time_step-bool": (("sim", "time_step_s"), True, "time_step"),
     "ffr_id-comma": (("model", "ffrs", 0, "id"), "a,b", "model.ffrs[0].id"),
     "ffr_id-number": (("model", "ffrs", 0, "id"), 5, "model.ffrs[0].id"),
+    "schema_version-bool": (("schema_version",), True, "schema_version"),
+}
+
+# name: (path to a key the schema does not know, added to the bundled
+# config, and the field the error must name); one per section
+UNKNOWN_FIELDS = {
+    "config": (("subcases",), "config.subcases"),
+    "model": (("model", "base_mva"), "model.base_mva"),
+    "generator": (("model", "generators", 0, "inertia_s"), "model.generators[0].inertia_s"),
+    "ffr": (("model", "ffrs", 2, "margin"), "model.ffrs[2].margin"),
+    "event": (("event", "onset_s"), "event.onset_s"),
+    "sim": (("sim", "timestep_s"), "sim.timestep_s"),
+    "governor": (("governor", "droop_gain"), "governor.droop_gain"),
+    "constant_droop": (("constant_droop", "k_pu"), "constant_droop.k_pu"),
+    "vdic_schedule": (("vdic_schedule", "upper_pu"), "vdic_schedule.upper_pu"),
+    "added_inertia": (("added_inertia", "delta_tj"), "added_inertia.delta_tj"),
 }
 
 # each optional block set to a number
 OPTIONAL_BLOCKS = ("governor", "constant_droop", "vdic_schedule", "added_inertia")
+
+
+def _simulate_edited(tmp_path, capsys, path, value) -> tuple[int, str]:
+    """Exit code and stderr of the simulate command on the bundled config
+    with the value at path set (a new key if path ends in one)."""
+    doc = json.loads(default_config_path().read_text())
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = run_cli("simulate", "--config", str(bad), "--out", str(tmp_path / "o"))
+    return code, capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -84,19 +114,19 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("name", sorted(WRONG_TYPES))
     def test_value_of_wrong_type_exits_2(self, tmp_path, capsys, name):
         path, value, field = WRONG_TYPES[name]
-        doc = json.loads(default_config_path().read_text())
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        parent[path[-1]] = value
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        code = run_cli("simulate", "--config", str(bad), "--out", str(tmp_path / "o"))
-        err = capsys.readouterr().err
+        code, err = _simulate_edited(tmp_path, capsys, path, value)
         assert code == 2
         assert err.startswith("error:") and field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name", sorted(UNKNOWN_FIELDS))
+    def test_unknown_field_exits_2(self, tmp_path, capsys, name):
+        # a misspelt optional field would otherwise run its default silently
+        path, field = UNKNOWN_FIELDS[name]
+        code, err = _simulate_edited(tmp_path, capsys, path, 0.002)
+        assert code == 2
+        assert err.startswith(f"error: unknown field {field}")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("block", OPTIONAL_BLOCKS)
     def test_optional_block_not_an_object_exits_2(self, tmp_path, capsys, block):

@@ -6,6 +6,7 @@ import pytest
 
 from droopinertia import (
     ConstantDroop,
+    Controller,
     DroopSchedule,
     FfrSpec,
     GovernorSpec,
@@ -20,6 +21,8 @@ from droopinertia import (
 from conftest import make_model
 
 SCHEDULE = DroopSchedule(target_inertia=40.0, upper_bound=128.0, lower_bound=32.0)
+# breakpoints T / U and T / L inexact in binary
+INEXACT = DroopSchedule(target_inertia=37.3, upper_bound=111.1, lower_bound=13.7)
 
 
 class TestConstantDroopPower:
@@ -245,3 +248,35 @@ class TestControllerObjects:
         assert NoControl().max_coefficient == 0.0
         assert ConstantDroop(32.0).max_coefficient == 32.0
         assert Vdic(SCHEDULE).max_coefficient == 128.0
+
+
+class _Ramp(Controller):
+    """A custom law, which takes the base class's per-sample coefficients."""
+
+    def coefficient(self, elapsed: float) -> float:
+        return min(50.0, 3.0 * elapsed + 0.1)
+
+    @property
+    def max_coefficient(self) -> float:
+        return 50.0
+
+
+def _elapsed_probes() -> np.ndarray:
+    """0, its upper neighbour, a few band and floor times, and every VDIC
+    breakpoint of both schedules with its neighbours on each side."""
+    probes = [0.0, np.nextafter(0.0, 1.0), 1e-3, 0.1, 0.5, 2.0, 100.0]
+    for sch in (SCHEDULE, INEXACT):
+        for bp in (sch.saturation_end, sch.floor_start):
+            probes += [np.nextafter(bp, 0.0), bp, np.nextafter(bp, np.inf)]
+    return np.array(probes)
+
+
+@pytest.mark.parametrize("controller", [NoControl(), ConstantDroop(32.0), Vdic(SCHEDULE),
+                                        Vdic(INEXACT), _Ramp()],
+                         ids=["no_control", "constant_droop", "vdic", "vdic_inexact", "custom"])
+def test_coefficients_equal_per_sample_coefficient_bit_for_bit(controller):
+    elapsed = _elapsed_probes()
+    per_sample = np.array([controller.coefficient(float(e)) for e in elapsed])
+    vectorised = controller.coefficients(elapsed)
+    assert vectorised.dtype == np.float64
+    assert np.array_equal(vectorised.view(np.int64), per_sample.view(np.int64))

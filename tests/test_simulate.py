@@ -1,5 +1,6 @@
 import copy
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -399,8 +400,9 @@ class TestGoldenBits:
     def test_kernel_matches_generic_loop(self, name):
         model, event, controller, config, governor = GOLDEN_CASES[name]()
         kernel = simulate(model, event, controller, config, governor=governor)
-        generic = simulate(model, event, _via_generic_loop(controller), config,
-                           governor=governor)
+        clone = _via_generic_loop(controller)
+        generic = simulate(model, event, clone, config, governor=governor)
+        assert clone.calls > 0  # the generic loop ran, not the kernel again
         assert np.array_equal(kernel.omega, generic.omega)
         assert np.array_equal(kernel.rocof, generic.rocof)
 
@@ -408,11 +410,75 @@ class TestGoldenBits:
 def _via_generic_loop(controller: Controller) -> Controller:
     """The same controller as an instance of a subclass of its type, which
     the integrator runs through the generic loop (kernels serve the exact
-    built-in types only)."""
+    built-in types only). The clone counts its coefficient calls in
+    ``calls``; only the generic loop makes them."""
     base = type(controller)
+
+    def coefficient(self, elapsed: float) -> float:
+        self.calls += 1
+        return base.coefficient(self, elapsed)
+
     clone = copy.copy(controller)
-    clone.__class__ = type(f"Generic{base.__name__}", (base,), {})
+    clone.__class__ = type(f"Generic{base.__name__}", (base,), {"coefficient": coefficient})
+    clone.calls = 0
     return clone
+
+
+# delta_pf factors of the scaling relations, 1.0 the reference run
+_FACTORS = (1.0, 2.0, 0.5, 3.0, -1.0)
+_SCALED_CASES = [f"bundled-{sub}" for sub in SUBCASES] + sorted(GOLDEN_CASES)
+
+
+def _scaled(event: ImbalanceEvent, factor: float) -> ImbalanceEvent:
+    return replace(event, delta_pf=factor * event.delta_pf)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestScalingLaws:
+    """The model is linear in (delta_pf, omega, p_gov) from a zero state, and
+    every kernel does only elementwise + - * /, so scaling delta_pf by a
+    power of two scales omega, rocof and ffr_power bit for bit, barring
+    overflow and subnormals. Checked on the bundled subcases and on every
+    fixed case of the golden set."""
+
+    @pytest.fixture(scope="class")
+    def series(self):
+        """name -> factor -> (omega, rocof, ffr_power)"""
+        out = {name: {} for name in _SCALED_CASES}
+        cfg = load_config(default_config_path())
+        for f in _FACTORS:
+            traces = run_case_study(replace(cfg, event=_scaled(cfg.event, f))).traces
+            for sub, trace in traces.items():
+                out[f"bundled-{sub}"][f] = (trace.omega, trace.rocof, trace.ffr_power)
+            for name, case in GOLDEN_CASES.items():
+                model, event, controller, config, governor = case()
+                trace = simulate(model, _scaled(event, f), controller, config,
+                                 governor=governor)
+                out[name][f] = (trace.omega, trace.rocof, trace.ffr_power)
+        return out
+
+    @pytest.mark.parametrize("factor", (2.0, 0.5))
+    @pytest.mark.parametrize("name", _SCALED_CASES)
+    def test_power_of_two_scales_bit_for_bit(self, series, name, factor):
+        for base, scaled in zip(series[name][1.0], series[name][factor], strict=True):
+            assert _same_bits(factor * base, scaled)
+
+    @pytest.mark.parametrize("name", _SCALED_CASES)
+    def test_factor_three_scales_only_to_rounding(self, series, name):
+        # the control: 3 * x rounds, so the bits differ and the relation
+        # holds only to about 3e-16 of the signal
+        omega, scaled = series[name][1.0][0], series[name][3.0][0]
+        assert not _same_bits(3.0 * omega, scaled)
+        assert np.max(np.abs(3.0 * omega - scaled)) <= 1e-15 * np.max(np.abs(scaled))
+
+    @pytest.mark.parametrize("name", _SCALED_CASES)
+    def test_sign_flip_scales_in_value(self, series, name):
+        # only the sign of zeros may differ, so values are compared, not bits
+        for base, flipped in zip(series[name][1.0], series[name][-1.0], strict=True):
+            assert np.array_equal(-base, flipped)
 
 
 class TestUntouchedPaths:
