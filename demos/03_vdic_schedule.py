@@ -25,7 +25,6 @@ from droopinertia import (
     Vdic,
     estimate_from_trace,
     simulate,
-    vdic_coefficient,
 )
 
 T_J = 39.2
@@ -36,8 +35,9 @@ print("bounded schedule (target 40 s, cap 128 p.u., floor 32 p.u.):")
 print(f"  k = 128       for t <= {bounded.saturation_end} s")
 print(f"  k = 40/t      for {bounded.saturation_end} s < t < {bounded.floor_start} s")
 print(f"  k = 32        for t >= {bounded.floor_start} s")
-for t in (0.0, 0.1, 0.3125, 0.5, 1.0, 1.25, 5.0):
-    print(f"  k({t:6.4f} s) = {vdic_coefficient(bounded, t):8.3f} p.u.")
+times = np.array([0.0, 0.1, 0.3125, 0.5, 1.0, 1.25, 5.0])
+for t, k in zip(times, Vdic(bounded).coefficients(times)):
+    print(f"  k({t:6.4f} s) = {k:8.3f} p.u.")
 
 # unbounded variant: clamp levels pushed far outside the window
 unbounded = DroopSchedule(target_inertia=TARGET, upper_bound=1e12, lower_bound=1e-12)

@@ -13,9 +13,7 @@ from .analytics import (
     closed_form_omega_constant_droop,
     closed_form_omega_constant_inertia,
     equivalent_inertia_constant_droop,
-    equivalent_inertia_from_regulation,
     estimate_from_trace,
-    initial_rocof,
 )
 from .controllers import (
     ConstantDroop,
@@ -24,7 +22,6 @@ from .controllers import (
     GovernorSpec,
     NoControl,
     Vdic,
-    vdic_coefficient,
 )
 from .errors import ConfigError, SimulationDivergedError, ValidationError
 from .model import (
@@ -82,14 +79,11 @@ __all__ = [
     "emit_case_study_csv",
     "emit_trace_csv",
     "equivalent_inertia_constant_droop",
-    "equivalent_inertia_from_regulation",
     "estimate_from_trace",
-    "initial_rocof",
     "load_config",
     "read_trace_csv",
     "run_case_study",
     "run_subcase",
     "simulate",
     "summarize",
-    "vdic_coefficient",
 ]

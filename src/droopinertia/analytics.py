@@ -25,23 +25,6 @@ from .integrate import Trace
 CONDITIONING_FLOOR = 1e-9
 
 
-def equivalent_inertia_from_regulation(t_j: float, delta_pf: float,
-                                       delta_pr: float,
-                                       conditioning: float = CONDITIONING_FLOOR) -> float:
-    """Equivalent inertia increment (seconds) delivered by regulation delta_pr.
-
-    Returns math.inf when the residual imbalance |delta_pf + delta_pr| is
-    below the conditioning floor: a full offset corresponds to unbounded
-    equivalent inertia and no finite estimate is meaningful there.
-    """
-    if delta_pf == 0.0 or not math.isfinite(delta_pf):
-        raise ValidationError(f"delta_pf must be finite and nonzero, got {delta_pf}")
-    residual = delta_pf + delta_pr
-    if abs(residual) < conditioning:
-        return math.inf
-    return -t_j * delta_pr / residual
-
-
 @dataclass(frozen=True)
 class InertiaEstimate:
     """Time-resolved equivalent inertia recovered from a trace.
@@ -55,8 +38,7 @@ class InertiaEstimate:
     valid_mask: np.ndarray
 
 
-def estimate_from_trace(trace: Trace, t_j: float, delta_pf: float,
-                        conditioning: float = CONDITIONING_FLOOR) -> InertiaEstimate:
+def estimate_from_trace(trace: Trace, t_j: float, delta_pf: float) -> InertiaEstimate:
     """Samplewise equivalent inertia from a trace's recorded FFR power.
 
     Uses the recorded regulating power directly (the relation is algebraic
@@ -68,7 +50,7 @@ def estimate_from_trace(trace: Trace, t_j: float, delta_pf: float,
     if not post.any():
         raise ValidationError("trace has no post-onset samples to estimate from")
     residual = delta_pf + trace.ffr_power
-    conditioned = np.abs(residual) >= conditioning
+    conditioned = np.abs(residual) >= CONDITIONING_FLOOR
     delta_tj = np.where(
         conditioned,
         -t_j * trace.ffr_power / np.where(conditioned, residual, 1.0),
@@ -124,10 +106,3 @@ def closed_form_omega_constant_inertia(delta_pf: float, t_j: float, delta_tj: fl
     if np.any(np.asarray(elapsed) < 0.0):
         raise ValidationError("elapsed must be >= 0")
     return delta_pf * np.asarray(elapsed) / (t_j + delta_tj)
-
-
-def initial_rocof(delta_pf: float, t_j: float, delta_tj: float = 0.0) -> float:
-    """RoCoF right after onset with inertia t_j + delta_tj: delta_pf / (t_j + delta_tj)."""
-    if t_j + delta_tj <= 0.0:
-        raise ValidationError(f"t_j + delta_tj must be > 0, got {t_j + delta_tj}")
-    return delta_pf / (t_j + delta_tj)

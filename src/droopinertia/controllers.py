@@ -81,37 +81,17 @@ class GovernorSpec:
 
 
 # --------------------------------------------------------------------------
-# droop laws
-# --------------------------------------------------------------------------
-
-def vdic_coefficient(schedule: DroopSchedule, elapsed: float) -> float:
-    """Active droop coefficient of the bounded schedule at ``elapsed`` seconds.
-
-    clamp(target_inertia / elapsed, lower, upper); at elapsed = 0 the 1/t
-    singularity saturates to the upper bound.
-    """
-    if elapsed < 0.0:
-        raise ValidationError(f"elapsed must be >= 0, got {elapsed}")
-    if elapsed == 0.0:
-        return schedule.upper_bound
-    return min(schedule.upper_bound,
-               max(schedule.lower_bound, schedule.target_inertia / elapsed))
-
-
-# --------------------------------------------------------------------------
 # controller objects consumed by the simulator
 # --------------------------------------------------------------------------
 
 class Controller:
-    """Base droop-law controller: subclasses define coefficient(elapsed), and
-    may override coefficients, the same law over an array of post-onset
-    elapsed times, with a vectorised form that gives the same bits."""
-
-    def coefficient(self, elapsed: float) -> float:
-        raise NotImplementedError
+    """Base droop-law controller. A subclass defines its law once, as
+    coefficients(elapsed): the total droop coefficient at each of an array of
+    post-onset elapsed times, elementwise. The integrator evaluates it over
+    its substeps, and a trace's droop_active over its post-onset samples."""
 
     def coefficients(self, elapsed: np.ndarray) -> np.ndarray:
-        return np.array([self.coefficient(float(e)) for e in elapsed], dtype=float)
+        raise NotImplementedError
 
     @property
     def max_coefficient(self) -> float:
@@ -126,9 +106,6 @@ class ConstantDroop(Controller):
         if k_total < 0.0:
             raise ValidationError(f"k_total must be >= 0, got {k_total}")
         self.k_total = float(k_total)
-
-    def coefficient(self, elapsed: float) -> float:
-        return self.k_total
 
     def coefficients(self, elapsed: np.ndarray) -> np.ndarray:
         return np.full(elapsed.shape, self.k_total)
@@ -149,10 +126,9 @@ class Vdic(Controller):
     def __init__(self, schedule: DroopSchedule):
         self.schedule = schedule
 
-    def coefficient(self, elapsed: float) -> float:
-        return vdic_coefficient(self.schedule, elapsed)
-
     def coefficients(self, elapsed: np.ndarray) -> np.ndarray:
+        if (elapsed < 0.0).any():
+            raise ValidationError(f"elapsed must be >= 0, got {elapsed.min()}")
         s = self.schedule
         with np.errstate(divide="ignore", over="ignore"):  # elapsed 0 takes the upper bound
             k = np.minimum(s.upper_bound, np.maximum(s.lower_bound, s.target_inertia / elapsed))

@@ -29,8 +29,8 @@ Numerics notes, all load-bearing:
   does the generic loop's floating-point operations in the same order, so
   its traces are bit-identical to the generic loop's; tests pin the sha256
   of the output bits. Custom Controller subclasses and integrator="euler"
-  take the generic loop, which calls controller.coefficient at each stage;
-  droop_active is controller.coefficients over the post-onset samples.
+  take the generic loop, which evaluates controller.coefficients over its
+  planned substeps; droop_active is the same law over the samples.
 * A non-finite state is reported as the first non-finite output sample.
 """
 
@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -53,6 +54,8 @@ _SAT_STEP_LIMIT = 0.35
 # distinct coefficients allocated at once, which bounds the fixpoint's
 # temporaries for a large fleet
 _ALLOCATION_CHUNK = 2048
+# output samples the generic loop plans, and evaluates the law over, at once
+_PLAN_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -139,15 +142,17 @@ def simulate(model: SystemModel, event: ImbalanceEvent, controller: Controller,
     gov = governor if governor is not None else GovernorSpec(enabled=False)
 
     dt = config.time_step
-    n = int(round(config.duration / dt))
-    times = np.arange(n + 1) * dt
+    steps = config.duration / dt
+    try:
+        times = np.arange(round(steps) + 1) * dt
+        omega, gov_series = np.zeros(times.size), np.zeros(times.size)
+    except (MemoryError, OverflowError, ValueError) as exc:
+        raise ValidationError(f"a grid of {steps + 1:.6g} samples (sim.duration_s / "
+                              f"sim.time_step_s + 1) cannot be allocated: {exc}") from exc
     elapsed = times - event.onset_time
     tol = 1e-9 * dt
     elapsed[np.abs(elapsed) <= tol] = 0.0
     i_first = int(np.searchsorted(elapsed, 0.0, side="left"))
-
-    omega = np.zeros(n + 1)
-    gov_series = np.zeros(n + 1)
 
     t_j = float(model.total_inertia)
     g = float(gov.droop_gain) if gov.enabled else 0.0
@@ -193,7 +198,7 @@ def _select_kernel(controller: Controller, t_j: float, rk4: bool, governed: bool
             kernel = kernels.rk4_constant_governed if governed else kernels.rk4_constant
             return partial(kernel, k, cap)
         pieces = partial(_uniform_pieces, cap)
-    return partial(_generic, controller.coefficient, pieces, rk4)
+    return partial(_generic, controller.coefficients, pieces, rk4)
 
 
 def _uniform_pieces(cap: float, a: float, b: float):
@@ -229,22 +234,35 @@ def _vdic_pieces(t_sat: float, t_floor: float, cap_sat: float, cap_floor: float,
         t = t + h
 
 
-def _generic(coef, pieces, rk4, elapsed, i_first, omega, gov_series, dpf, t_j, g, tg):
-    """RK4 or explicit Euler over any controller's coefficient(elapsed)."""
+def _generic(law, pieces, rk4, elapsed, i_first, omega, gov_series, dpf, t_j, g, tg):
+    """RK4 or explicit Euler over any controller's law, evaluated at once
+    over the starts, midpoints and ends of a block of planned substeps."""
     w = cw = p = cp = 0.0  # state + Kahan compensations
     a = 0.0
-    for j in range(i_first, elapsed.size):
-        b = elapsed[j]
-        if b > a:
-            if rk4:
+    for first in range(i_first, elapsed.size, _PLAN_BLOCK):
+        starts, lengths, counts = [], [], []
+        for b in elapsed[first:first + _PLAN_BLOCK].tolist():
+            planned = len(starts)
+            if b > a:
                 for t0, h in pieces(a, b):
+                    starts.append(t0)
+                    lengths.append(h)
+                a = b
+            counts.append(len(starts) - planned)
+        t0, hs = np.array(starts), np.array(lengths)
+        if rk4:
+            substeps = zip(lengths, law(t0).tolist(), law(t0 + 0.5 * hs).tolist(),
+                           law(t0 + hs).tolist())
+        else:
+            substeps = zip(lengths, law(t0).tolist())
+        for i, count in enumerate(counts, first):
+            if rk4:
+                for h, k1, km, k4 in islice(substeps, count):
                     half = 0.5 * h
-                    tm = t0 + half
-                    k1w = (dpf - coef(t0) * w + p) / t_j
+                    k1w = (dpf - k1 * w + p) / t_j
                     k1p = (-g * w - p) / tg
                     w2 = w + half * k1w
                     p2 = p + half * k1p
-                    km = coef(tm)
                     k2w = (dpf - km * w2 + p2) / t_j
                     k2p = (-g * w2 - p2) / tg
                     w3 = w + half * k2w
@@ -253,7 +271,7 @@ def _generic(coef, pieces, rk4, elapsed, i_first, omega, gov_series, dpf, t_j, g
                     k3p = (-g * w3 - p3) / tg
                     w4 = w + h * k3w
                     p4 = p + h * k3p
-                    k4w = (dpf - coef(t0 + h) * w4 + p4) / t_j
+                    k4w = (dpf - k4 * w4 + p4) / t_j
                     k4p = (-g * w4 - p4) / tg
                     inc = (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
                     y = inc - cw
@@ -266,8 +284,8 @@ def _generic(coef, pieces, rk4, elapsed, i_first, omega, gov_series, dpf, t_j, g
                     cp = (s - p) - y
                     p = s
             else:
-                for t0, h in pieces(a, b):
-                    inc = h * ((dpf - coef(t0) * w + p) / t_j)
+                for h, k1 in islice(substeps, count):
+                    inc = h * ((dpf - k1 * w + p) / t_j)
                     incp = h * ((-g * w - p) / tg)
                     y = inc - cw
                     s = w + y
@@ -277,11 +295,10 @@ def _generic(coef, pieces, rk4, elapsed, i_first, omega, gov_series, dpf, t_j, g
                     s = p + y
                     cp = (s - p) - y
                     p = s
-            a = b
-        omega[j] = w
-        gov_series[j] = p
-        if not (math.isfinite(w) and math.isfinite(p)):
-            return  # simulate reports the first non-finite sample
+            omega[i] = w
+            gov_series[i] = p
+            if not (math.isfinite(w) and math.isfinite(p)):
+                return  # simulate reports the first non-finite sample
 
 
 def _assemble_trace(model, event, controller, times, elapsed, omega, gov_series) -> Trace:

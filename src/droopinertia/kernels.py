@@ -7,9 +7,9 @@ differs only in what it leaves out. With the governor off, p stays exactly
 (x + 0.0 == x because dpf - k*w, with dpf nonzero, is never -0.0). The
 coefficient at a substep's end is the next substep's start coefficient, so
 it is computed once. The VDIC kernels inline integrate._vdic_pieces and
-controllers.vdic_coefficient, writing each min() and max() as comparisons
-that pick the same value; the coefficient at elapsed 0, where only the
-first substep after the onset starts, is the upper bound. Samples are read
+the law of Vdic.coefficients, writing each minimum and maximum as a
+comparison that picks the same value; the coefficient at elapsed 0, where
+only the first substep after the onset starts, is the upper bound. Samples are read
 and written through memoryviews, as plain floats.
 
 A kernel is called as kernel(*controller_params, elapsed, i_first, omega,

@@ -170,7 +170,8 @@ class SimConfig:
     """Fixed-step integration settings.
 
     time_step must leave at least ten steps in the run; coarser grids make
-    the sampled trace meaningless.
+    the sampled trace meaningless. duration must be a whole multiple of
+    time_step (to a relative 1e-9), so the last sample falls on it.
     """
 
     time_step: float = 1e-3
@@ -185,6 +186,10 @@ class SimConfig:
                 f"SimConfig.time_step ({self.time_step}) must be <= duration/10 "
                 f"({self.duration / 10.0})"
             )
+        steps = self.duration / self.time_step
+        if math.isfinite(steps) and abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValidationError(f"SimConfig.duration ({self.duration}) must be a whole "
+                                  f"multiple of SimConfig.time_step ({self.time_step})")
         if self.integrator not in ("rk4", "euler"):
             raise ValidationError(
                 f"SimConfig.integrator must be 'rk4' or 'euler', got {self.integrator!r}"

@@ -2,9 +2,10 @@
 grid with 39.2 s of inertia and four identical HVDC-style FFRs (per-unit
 droop cap 32, optimal 8, equal regulation margins)."""
 
+import numpy as np
 import pytest
 
-from droopinertia import FfrSpec, GeneratorSpec, ImbalanceEvent, SystemModel
+from droopinertia import FfrSpec, GeneratorSpec, ImbalanceEvent, SystemModel, Vdic
 
 T_J = 39.2
 DELTA_PF = -0.3
@@ -33,3 +34,8 @@ def model():
 @pytest.fixture
 def event():
     return ImbalanceEvent(DELTA_PF, onset_time=0.0)
+
+
+def vdic_at(schedule, elapsed):
+    """Vdic(schedule)'s coefficient at one elapsed time, as a float."""
+    return float(Vdic(schedule).coefficients(np.array([elapsed]))[0])

@@ -32,10 +32,9 @@ from droopinertia import (
     load_config,
     run_case_study,
     simulate,
-    vdic_coefficient,
 )
 from droopinertia.scenario import default_config_path
-from conftest import make_model
+from conftest import make_model, vdic_at
 
 T_J = 39.2
 TARGET = 40.0
@@ -165,17 +164,17 @@ def test_criterion_5_schedule_breakpoints():
     ok = True
     notes = []
     for t in (0.0, 1e-9, 0.01, 0.2, 0.3125):
-        ok &= vdic_coefficient(sched, t) == 128.0
+        ok &= vdic_at(sched, t) == 128.0
     for t in (math.nextafter(0.3125, 1.0), 0.4, 0.5, 0.625, 1.0, 1.2,
               math.nextafter(1.25, 0.0)):
-        k = vdic_coefficient(sched, t)
+        k = vdic_at(sched, t)
         ok &= k == TARGET / t
         ok &= abs(k - TARGET / t) <= math.ulp(k)
     for t in (1.25, 2.0, 10.0, 1e9):
-        ok &= vdic_coefficient(sched, t) == 32.0
+        ok &= vdic_at(sched, t) == 32.0
     # breakpoint values themselves are exact in binary
-    ok &= vdic_coefficient(sched, 0.3125) == 128.0
-    ok &= vdic_coefficient(sched, 1.25) == 32.0
+    ok &= vdic_at(sched, 0.3125) == 128.0
+    ok &= vdic_at(sched, 1.25) == 32.0
     _report("criterion 5", ok,
             "coefficient equals 128 for t <= 0.3125, 40/t in between, 32 for t >= 1.25; "
             "exact at representable points")

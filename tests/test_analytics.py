@@ -15,31 +15,13 @@ from droopinertia import (
     closed_form_omega_constant_droop,
     closed_form_omega_constant_inertia,
     equivalent_inertia_constant_droop,
-    equivalent_inertia_from_regulation,
     estimate_from_trace,
-    initial_rocof,
     simulate,
-    vdic_coefficient,
 )
-from conftest import make_model
+from conftest import make_model, vdic_at
+from oracles import equivalent_inertia_from_regulation
 
 T_J = 39.2
-
-
-class TestEquivalentInertiaFromRegulation:
-    def test_no_regulation_no_inertia(self):
-        assert equivalent_inertia_from_regulation(T_J, -0.3, 0.0) == 0.0
-
-    def test_half_offset_doubles_inertia(self):
-        # -t_j * 0.15 / (-0.3 + 0.15) = t_j
-        assert equivalent_inertia_from_regulation(T_J, -0.3, 0.15) == pytest.approx(T_J, rel=1e-14)
-
-    def test_full_offset_unbounded(self):
-        assert math.isinf(equivalent_inertia_from_regulation(T_J, -0.3, 0.3))
-
-    def test_zero_imbalance_rejected(self):
-        with pytest.raises(ValidationError):
-            equivalent_inertia_from_regulation(T_J, 0.0, 0.1)
 
 
 class TestClosedFormConstantDroop:
@@ -114,24 +96,13 @@ class TestUnboundedSchedule:
     UNBOUNDED = DroopSchedule(40.0, 1e12, 1e-12)
 
     def test_direct_value(self):
-        assert vdic_coefficient(self.UNBOUNDED, 0.5) == 80.0
+        assert vdic_at(self.UNBOUNDED, 0.5) == 80.0
 
     def test_upper_crossover(self):
-        assert vdic_coefficient(self.UNBOUNDED, 0.3125) == 128.0
+        assert vdic_at(self.UNBOUNDED, 0.3125) == 128.0
 
     def test_lower_crossover(self):
-        assert vdic_coefficient(self.UNBOUNDED, 1.25) == 32.0
-
-
-class TestInitialRocof:
-    def test_bare_system(self):
-        assert initial_rocof(-0.3, T_J) == pytest.approx(-0.3 / 39.2, rel=1e-15)
-
-    def test_raised_inertia(self):
-        assert initial_rocof(-0.3, T_J, 40.0) == pytest.approx(-0.3 / 79.2, rel=1e-15)
-
-    def test_huge_inertia_freezes(self):
-        assert abs(initial_rocof(-0.3, T_J, 1e12)) < 1e-12
+        assert vdic_at(self.UNBOUNDED, 1.25) == 32.0
 
 
 class TestEstimateFromTrace:
@@ -157,6 +128,22 @@ class TestEstimateFromTrace:
         est = estimate_from_trace(trace, T_J, -0.3)
         mask = est.valid_mask & (trace.sample_times >= 0.01)
         assert np.max(np.abs(est.delta_tj[mask] - 40.0)) / 40.0 < 1e-8
+
+    def test_equals_scalar_formula_per_sample(self, model, event):
+        # by 30 s the droop offsets the imbalance to below the conditioning
+        # floor, so the run holds finite and unbounded estimates
+        trace = simulate(model, event, ConstantDroop(32.0), SimConfig(1e-2, 30.0))
+        est = estimate_from_trace(trace, T_J, -0.3)
+        oracle = np.array([equivalent_inertia_from_regulation(T_J, -0.3, p)
+                           for p in trace.ffr_power.tolist()])
+        assert np.isinf(oracle).any() and np.isfinite(oracle).any()
+        assert np.array_equal(est.delta_tj, oracle)
+        assert np.array_equal(est.valid_mask, np.isfinite(oracle))
+
+    def test_zero_imbalance_rejected(self, model, event):
+        trace = simulate(model, event, ConstantDroop(32.0), SimConfig(1e-2, 1.0))
+        with pytest.raises(ValidationError):
+            estimate_from_trace(trace, T_J, 0.0)
 
     def test_pre_onset_masked(self, model):
         event = ImbalanceEvent(-0.3, onset_time=1.0)

@@ -111,6 +111,25 @@ class TestSimulateCommand:
                        "--duration", "20", "--dt", "5")
         assert code == 2
 
+    def test_off_grid_duration_exits_2(self, tmp_path, capsys):
+        # 11 s is 1571.43 steps of 7 ms: the last sample would miss the duration
+        code = run_cli("simulate", "--out", str(tmp_path / "o"),
+                       "--duration", "11", "--dt", "0.007")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "SimConfig.duration (11.0) must be a whole multiple" in err
+        code, err = _simulate_edited(tmp_path, capsys, ("sim", "duration_s"), 11.0005)
+        assert code == 2
+        assert "bad.json" in err and "SimConfig.duration (11.0005)" in err
+
+    def test_unallocatable_grid_exits_2(self, tmp_path, capsys):
+        # 1e18 samples at the bundled 1 ms step, beyond any address space
+        code = run_cli("simulate", "--out", str(tmp_path / "o"), "--duration", "1e15")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: a grid of 1e+18 samples (sim.duration_s")
+        assert not (tmp_path / "o" / "trace_vdic.csv").exists()
+
     @pytest.mark.parametrize("name", sorted(WRONG_TYPES))
     def test_value_of_wrong_type_exits_2(self, tmp_path, capsys, name):
         path, value, field = WRONG_TYPES[name]

@@ -16,9 +16,9 @@ from droopinertia import (
     ValidationError,
     Vdic,
     simulate,
-    vdic_coefficient,
 )
-from conftest import make_model
+from conftest import make_model, vdic_at
+from oracles import vdic_coefficient
 
 SCHEDULE = DroopSchedule(target_inertia=40.0, upper_bound=128.0, lower_bound=32.0)
 # breakpoints T / U and T / L inexact in binary
@@ -81,30 +81,30 @@ class TestDroopSchedule:
 
 class TestVdicCoefficient:
     def test_inside_band(self):
-        assert vdic_coefficient(SCHEDULE, 1.0) == 40.0
+        assert vdic_at(SCHEDULE, 1.0) == 40.0
 
     def test_saturates_at_singularity(self):
-        assert vdic_coefficient(SCHEDULE, 0.0) == 128.0
+        assert vdic_at(SCHEDULE, 0.0) == 128.0
 
     def test_clamps_to_floor(self):
         # 40/2 = 20 would undercut the floor; crossover is at 1.25 s
-        assert vdic_coefficient(SCHEDULE, 2.0) == 32.0
+        assert vdic_at(SCHEDULE, 2.0) == 32.0
 
     def test_negative_elapsed_rejected(self):
         with pytest.raises(ValidationError):
-            vdic_coefficient(SCHEDULE, -0.1)
+            Vdic(SCHEDULE).coefficients(np.array([0.0, 1.0, -0.1]))
 
     def test_nonincreasing_and_bounded(self):
-        grid = [0.0, 1e-6, 0.01, 0.1, 0.3125, 0.4, 0.8, 1.25, 2.0, 50.0, 1e6]
-        values = [vdic_coefficient(SCHEDULE, t) for t in grid]
-        for lo_v, hi_v in zip(values[1:], values[:-1]):
-            assert lo_v <= hi_v
-        assert all(32.0 <= v <= 128.0 for v in values)
+        grid = np.array([0.0, 1e-6, 0.01, 0.1, 0.3125, 0.4, 0.8, 1.25, 2.0, 50.0, 1e6])
+        values = Vdic(SCHEDULE).coefficients(grid)
+        assert np.all(values[1:] <= values[:-1])
+        assert np.all((32.0 <= values) & (values <= 128.0))
 
     def test_band_realizes_target_inertia(self):
         # inside the unclamped band, coefficient * elapsed recovers the target
-        for t in (0.33, 0.5, 0.625, 1.0, 1.2):
-            assert vdic_coefficient(SCHEDULE, t) * t == pytest.approx(40.0, rel=1e-14)
+        band = np.array([0.33, 0.5, 0.625, 1.0, 1.2])
+        for t, k in zip(band, Vdic(SCHEDULE).coefficients(band)):
+            assert k * t == pytest.approx(40.0, rel=1e-14)
 
 
 class TestVdicPower:
@@ -240,9 +240,9 @@ class TestAllocateDroop:
 
 class TestControllerObjects:
     def test_coefficient_matches_schedule(self):
-        ctl = Vdic(SCHEDULE)
-        for t in (0.0, 0.2, 0.9, 5.0):
-            assert ctl.coefficient(t) == vdic_coefficient(SCHEDULE, t)
+        times = (0.0, 0.2, 0.9, 5.0)
+        got = Vdic(SCHEDULE).coefficients(np.array(times))
+        assert got.tolist() == [vdic_coefficient(SCHEDULE, t) for t in times]
 
     def test_max_coefficient(self):
         assert NoControl().max_coefficient == 0.0
@@ -251,10 +251,10 @@ class TestControllerObjects:
 
 
 class _Ramp(Controller):
-    """A custom law, which takes the base class's per-sample coefficients."""
+    """A custom law."""
 
-    def coefficient(self, elapsed: float) -> float:
-        return min(50.0, 3.0 * elapsed + 0.1)
+    def coefficients(self, elapsed: np.ndarray) -> np.ndarray:
+        return np.minimum(50.0, 3.0 * elapsed + 0.1)
 
     @property
     def max_coefficient(self) -> float:
@@ -275,8 +275,14 @@ def _elapsed_probes() -> np.ndarray:
                                         Vdic(INEXACT), _Ramp()],
                          ids=["no_control", "constant_droop", "vdic", "vdic_inexact", "custom"])
 def test_coefficients_equal_per_sample_coefficient_bit_for_bit(controller):
+    # a law is elementwise: its value at a time does not depend on the rest of
+    # the array, so the integrator's substep arrays and a trace's samples agree
     elapsed = _elapsed_probes()
-    per_sample = np.array([controller.coefficient(float(e)) for e in elapsed])
     vectorised = controller.coefficients(elapsed)
+    per_sample = np.array([controller.coefficients(elapsed[i:i + 1])[0]
+                           for i in range(elapsed.size)])
     assert vectorised.dtype == np.float64
     assert np.array_equal(vectorised.view(np.int64), per_sample.view(np.int64))
+    if isinstance(controller, Vdic):
+        oracle = np.array([vdic_coefficient(controller.schedule, float(e)) for e in elapsed])
+        assert np.array_equal(vectorised.view(np.int64), oracle.view(np.int64))

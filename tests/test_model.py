@@ -114,6 +114,14 @@ class TestSimConfig:
         with pytest.raises(ValidationError):
             SimConfig(time_step=3.0, duration=20.0)
 
+    def test_duration_must_be_whole_multiple_of_step(self):
+        with pytest.raises(ValidationError, match="whole multiple"):
+            SimConfig(time_step=0.007, duration=11.0)
+        # 3.3 / 0.1 is 32.99999999999999 and 0.9 / 0.03 is 30.000000000000004
+        # in floating point: whole multiples to the relative tolerance
+        assert SimConfig(time_step=0.1, duration=3.3).duration == 3.3
+        assert SimConfig(time_step=0.03, duration=0.9).duration == 0.9
+
     def test_unknown_integrator_rejected(self):
         with pytest.raises(ValidationError):
             SimConfig(integrator="rk45")

@@ -15,7 +15,6 @@ from droopinertia import (
     emit_case_study_csv,
     emit_trace_csv,
     equivalent_inertia_constant_droop,
-    initial_rocof,
     load_config,
     read_trace_csv,
     run_case_study,
@@ -26,6 +25,7 @@ from droopinertia import (
 from dataclasses import replace
 
 from conftest import make_model
+from oracles import initial_rocof
 
 
 def write_config(tmp_path, doc, name="cfg.json"):

@@ -25,6 +25,7 @@ from droopinertia import (
     run_case_study,
     simulate,
 )
+from droopinertia import integrate
 from droopinertia.scenario import SUBCASES, default_config_path
 from conftest import make_ffrs, make_model
 
@@ -210,12 +211,17 @@ class TestValidation:
         with pytest.raises(ValidationError):
             simulate(make_model(ffrs), event, ConstantDroop(10.0), SimConfig())
 
+    def test_unallocatable_grid_rejected(self, model, event):
+        # 1e18 samples, beyond any address space, so nothing is allocated
+        with pytest.raises(ValidationError, match=r"1e\+18 samples \(sim\.duration_s"):
+            simulate(model, event, NoControl(), SimConfig(1e-3, 1e15))
+
 
 class _PoisonController(Controller):
     """Turns to NaN after 1 s; exercises the divergence guard."""
 
-    def coefficient(self, elapsed: float) -> float:
-        return float("nan") if elapsed > 1.0 else 0.0
+    def coefficients(self, elapsed: np.ndarray) -> np.ndarray:
+        return np.where(elapsed > 1.0, np.nan, 0.0)
 
     @property
     def max_coefficient(self) -> float:
@@ -273,6 +279,23 @@ class TestEulerOption:
             ref = closed_form_omega_constant_droop(-0.3, 32.0, 39.2, trace.sample_times)
             errs.append(np.max(np.abs(trace.omega - ref)))
         assert errs[0] / errs[1] >= 8.0
+
+    def test_rk4_step_halving_governed_inexact_vdic(self):
+        # bundled model and governor, breakpoints inexact in binary, onset at
+        # 10 s: the gap to a 0.5 ms run shrinks about 16-fold per halving of
+        # dt (at 1 ms it reaches roundoff, so that pair is left out)
+        cfg = load_config(default_config_path())
+        controller = Vdic(_INEXACT[0])
+        event = ImbalanceEvent(-0.3, 10.0)
+
+        def omega(dt):
+            return simulate(cfg.model, event, controller, SimConfig(dt, 15.0),
+                            governor=cfg.governor).omega
+
+        ref = omega(5e-4)
+        gaps = [np.max(np.abs(omega(dt) - ref[::round(dt / 5e-4)])) for dt in (8e-3, 4e-3, 2e-3)]
+        assert gaps[0] / gaps[1] >= 12.0
+        assert gaps[1] / gaps[2] >= 12.0
 
 
 def _sha256(series: np.ndarray) -> str:
@@ -402,26 +425,57 @@ class TestGoldenBits:
         kernel = simulate(model, event, controller, config, governor=governor)
         clone = _via_generic_loop(controller)
         generic = simulate(model, event, clone, config, governor=governor)
-        assert clone.calls > 0  # the generic loop ran, not the kernel again
+        assert clone.calls > 1  # the generic loop ran too, not only _assemble_trace
         assert np.array_equal(kernel.omega, generic.omega)
         assert np.array_equal(kernel.rocof, generic.rocof)
+
+    @pytest.mark.parametrize("sub", ["constant_droop", "vdic"])
+    def test_kernel_matches_generic_loop_across_plan_blocks(self, bundled, sub):
+        # the bundled run spans several of the generic loop's plan blocks
+        cfg = load_config(default_config_path())
+        law = ConstantDroop(cfg.k_total) if sub == "constant_droop" else Vdic(cfg.vdic_schedule)
+        clone = _via_generic_loop(law)
+        generic = simulate(cfg.model, cfg.event, clone, cfg.sim, governor=cfg.governor)
+        assert clone.calls > 1
+        assert generic.sample_times.size > 2 * integrate._PLAN_BLOCK
+        assert np.array_equal(bundled[sub].omega, generic.omega)
+        assert np.array_equal(bundled[sub].rocof, generic.rocof)
 
 
 def _via_generic_loop(controller: Controller) -> Controller:
     """The same controller as an instance of a subclass of its type, which
     the integrator runs through the generic loop (kernels serve the exact
-    built-in types only). The clone counts its coefficient calls in
-    ``calls``; only the generic loop makes them."""
+    built-in types only). The clone counts its coefficients calls in
+    ``calls``: trace assembly makes one, and the generic loop the others."""
     base = type(controller)
 
-    def coefficient(self, elapsed: float) -> float:
+    def coefficients(self, elapsed: np.ndarray) -> np.ndarray:
         self.calls += 1
-        return base.coefficient(self, elapsed)
+        return base.coefficients(self, elapsed)
 
     clone = copy.copy(controller)
-    clone.__class__ = type(f"Generic{base.__name__}", (base,), {"coefficient": coefficient})
+    clone.__class__ = type(f"Generic{base.__name__}", (base,), {"coefficients": coefficients})
     clone.calls = 0
     return clone
+
+
+class _Half(ConstantDroop):
+    """Half of k_total: a built-in's law changed in its one place."""
+
+    def coefficients(self, elapsed: np.ndarray) -> np.ndarray:
+        return 0.5 * super().coefficients(elapsed)
+
+
+@pytest.mark.parametrize("governor", [None, GOVERNOR], ids=["free", "governor"])
+def test_overridden_law_is_the_whole_law(governor):
+    # the integrator and the trace read the same law, so every series of
+    # _Half(32) is ConstantDroop(16)'s
+    model = SystemModel(1000.0, [GeneratorSpec(1000.0, 19.6)], make_ffrs())
+    cfg = SimConfig(1e-2, 20.0)
+    half = simulate(model, ImbalanceEvent(-0.3), _Half(32.0), cfg, governor=governor)
+    plain = simulate(model, ImbalanceEvent(-0.3), ConstantDroop(16.0), cfg, governor=governor)
+    for name in ("omega", "rocof", "ffr_power", "droop_active", "per_ffr_power"):
+        assert _same_bits(getattr(half, name), getattr(plain, name)), name
 
 
 # delta_pf factors of the scaling relations, 1.0 the reference run
