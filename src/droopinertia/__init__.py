@@ -30,7 +30,6 @@ from .model import (
     ImbalanceEvent,
     SimConfig,
     SystemModel,
-    aggregate_inertia,
 )
 from .scenario import (
     SUBCASES,
@@ -72,7 +71,6 @@ __all__ = [
     "Trace",
     "ValidationError",
     "Vdic",
-    "aggregate_inertia",
     "closed_form_omega_constant_droop",
     "closed_form_omega_constant_inertia",
     "default_config_path",

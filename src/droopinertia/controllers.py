@@ -93,12 +93,6 @@ class Controller:
     def coefficients(self, elapsed: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    @property
-    def max_coefficient(self) -> float:
-        """Largest coefficient the controller can request; used to check the
-        FFR roster can actually carry the allocation."""
-        raise NotImplementedError
-
 
 class ConstantDroop(Controller):
     def __init__(self, k_total: float):
@@ -109,10 +103,6 @@ class ConstantDroop(Controller):
 
     def coefficients(self, elapsed: np.ndarray) -> np.ndarray:
         return np.full(elapsed.shape, self.k_total)
-
-    @property
-    def max_coefficient(self) -> float:
-        return self.k_total
 
 
 class NoControl(ConstantDroop):
@@ -133,7 +123,3 @@ class Vdic(Controller):
         with np.errstate(divide="ignore", over="ignore"):  # elapsed 0 takes the upper bound
             k = np.minimum(s.upper_bound, np.maximum(s.lower_bound, s.target_inertia / elapsed))
         return np.where(elapsed > 0.0, k, s.upper_bound)
-
-    @property
-    def max_coefficient(self) -> float:
-        return self.schedule.upper_bound

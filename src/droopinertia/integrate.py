@@ -18,19 +18,17 @@ Numerics notes, all load-bearing:
   pieces at the crossovers and, while in the 1/t band, limits each internal
   substep to a fixed fraction of elapsed time (geometric refinement toward
   the onset). Output samples stay on the uniform grid; the refinement is a
-  deterministic function of the schedule parameters only. A constant
-  coefficient k splits an output step into equal substeps with k*h/t_j
-  within RK4's stability bound.
-* One dispatch (_select_kernel), the only code that branches on the
-  controller's type, picks the loop. Under RK4, NoControl (ConstantDroop
-  at k = 0), ConstantDroop and Vdic themselves (not subclasses) run a
-  kernel from the kernels module, specialised to a constant coefficient or
-  to the inline clamp(T/t, L, U), with the governor on or off. A kernel
-  does the generic loop's floating-point operations in the same order, so
-  its traces are bit-identical to the generic loop's; tests pin the sha256
-  of the output bits. Custom Controller subclasses and integrator="euler"
-  take the generic loop, which evaluates controller.coefficients over its
-  planned substeps; droop_active is the same law over the samples.
+  deterministic function of the schedule parameters only. Any other law
+  splits an output step into equal substeps with k*h/t_j within the
+  integrator's stability bound, k the law's peak over the samples.
+* Every controller takes one path: plan, evaluate, step. For a block of
+  output samples numpy plans the substeps (_vdic_plan for a Vdic, whose
+  breakpoints are the only thing read off a controller's type, else
+  _uniform_plan), controller.coefficients is evaluated over their starts,
+  midpoints and ends, and a loop of the kernels module steps the state
+  through them: RK4 with the governor off or on, or Euler. A subclass that
+  keeps a built-in's law gets its bits; tests pin the sha256 of the output
+  bits. droop_active is the same law over the samples.
 * A non-finite state is reported as the first non-finite output sample.
 """
 
@@ -39,11 +37,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
+from itertools import chain
 
 import numpy as np
 
-from .controllers import Controller, ConstantDroop, GovernorSpec, NoControl, Vdic
+from .controllers import Controller, GovernorSpec, Vdic
 from .errors import SimulationDivergedError, ValidationError
 from .model import ImbalanceEvent, SimConfig, SystemModel
 
@@ -54,8 +52,10 @@ _SAT_STEP_LIMIT = 0.35
 # distinct coefficients allocated at once, which bounds the fixpoint's
 # temporaries for a large fleet
 _ALLOCATION_CHUNK = 2048
-# output samples the generic loop plans, and evaluates the law over, at once
-_PLAN_BLOCK = 8192
+# output samples whose substeps are planned, and the law evaluated over, at
+# once, and the substeps a block is sized to hold when a sample has several
+_PLAN_BLOCK = 1024
+_PLAN_SUBSTEPS = 8192
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,8 @@ class Trace:
 _DEFERRED = ("omega", "droop_active", "per_ffr_power")
 
 
-def _roster_check(model: SystemModel, controller: Controller) -> None:
-    k_max = controller.max_coefficient
-    if k_max <= 0.0:
+def _roster_check(model: SystemModel, peak: float) -> None:
+    if peak <= 0.0:
         return
     if not model.ffrs:
         raise ValidationError(
@@ -122,9 +121,9 @@ def _roster_check(model: SystemModel, controller: Controller) -> None:
         raise ValidationError(
             "droop allocation needs at least one FFR with a positive regulation margin"
         )
-    if k_max > sum(caps) * (1.0 + 1e-12):
+    if peak > sum(caps) * (1.0 + 1e-12):
         raise ValidationError(
-            f"controller peak droop coefficient {k_max} exceeds the summed "
+            f"controller peak droop coefficient {peak} exceeds the summed "
             f"per-FFR bounds {sum(caps)} of the FFRs with a positive regulation margin"
         )
 
@@ -138,7 +137,6 @@ def simulate(model: SystemModel, event: ImbalanceEvent, controller: Controller,
     SimulationDivergedError if the state turns non-finite (for instance a
     controller coefficient evaluating to NaN).
     """
-    _roster_check(model, controller)
     gov = governor if governor is not None else GovernorSpec(enabled=False)
 
     dt = config.time_step
@@ -154,11 +152,32 @@ def simulate(model: SystemModel, event: ImbalanceEvent, controller: Controller,
     elapsed[np.abs(elapsed) <= tol] = 0.0
     i_first = int(np.searchsorted(elapsed, 0.0, side="left"))
 
+    # the law over the samples; its peak is what the fleet must carry and
+    # what bounds a uniform substep
+    droop_active = np.zeros_like(elapsed)
+    droop_active[i_first:] = controller.coefficients(elapsed[i_first:])
+    peak = float(droop_active.max())
+    _roster_check(model, peak)
+
     t_j = float(model.total_inertia)
     g = float(gov.droop_gain) if gov.enabled else 0.0
     tg = float(gov.time_constant) if gov.enabled else 1.0
-    kernel = _select_kernel(controller, t_j, config.integrator == "rk4", gov.enabled)
-    kernel(elapsed, i_first, omega, gov_series, float(event.delta_pf), t_j, g, tg)
+    rk4 = config.integrator == "rk4"
+    stability = 2.0 if rk4 else 1.0
+    if isinstance(controller, Vdic):
+        sch = controller.schedule
+        plan = partial(_vdic_plan, sch.saturation_end, sch.floor_start,
+                       _SAT_STEP_LIMIT * t_j / sch.upper_bound,
+                       stability * t_j / sch.lower_bound, _BAND_STEP_FRACTION)
+    else:
+        plan = partial(_uniform_plan, stability * t_j / peak if peak > 0.0 else math.inf)
+    # imported here so that commands which never integrate, such as
+    # estimate, do not compile the loops at start-up
+    from . import kernels
+
+    step = (kernels.rk4_governed if gov.enabled else kernels.rk4) if rk4 else kernels.euler
+    step(chain.from_iterable(_substeps(controller.coefficients, plan, elapsed, i_first)),
+         omega, gov_series, float(event.delta_pf), t_j, g, tg)
 
     finite = np.isfinite(omega) & np.isfinite(gov_series)
     if not finite.all():
@@ -167,149 +186,83 @@ def simulate(model: SystemModel, event: ImbalanceEvent, controller: Controller,
             f"non-finite state at sample {j} (t = {times[j]:.6g} s); "
             "check controller parameters", j
         )
-    return _assemble_trace(model, event, controller, times, elapsed, omega, gov_series)
+    return _assemble_trace(model, event, times, i_first, droop_active, peak, omega, gov_series)
 
 
-def _select_kernel(controller: Controller, t_j: float, rk4: bool, governed: bool):
-    """The integration loop for this run, as a callable
-    (elapsed, i_first, omega, gov_series, delta_pf, t_j, gain, time_constant)
-    that fills omega and gov_series from sample i_first on.
-
-    Built-in controllers fix the substep plan; exactly-typed built-ins under
-    RK4 get a specialised kernel, everything else the generic loop."""
-    # imported here so that commands which never integrate, such as
-    # estimate, do not compile it at start-up
-    from . import kernels
-
-    stability = 2.0 if rk4 else 1.0
-    if isinstance(controller, Vdic):
-        sch = controller.schedule
-        plan = (sch.saturation_end, sch.floor_start, _SAT_STEP_LIMIT * t_j / sch.upper_bound,
-                stability * t_j / sch.lower_bound, _BAND_STEP_FRACTION)
-        if rk4 and type(controller) is Vdic:
-            kernel = kernels.rk4_vdic_governed if governed else kernels.rk4_vdic
-            return partial(kernel, float(sch.target_inertia), float(sch.upper_bound),
-                           float(sch.lower_bound), *plan)
-        pieces = partial(_vdic_pieces, *plan)
-    else:
-        k = float(controller.k_total) if isinstance(controller, ConstantDroop) else 0.0
-        cap = stability * t_j / k if k > 0.0 else math.inf
-        if rk4 and type(controller) in (ConstantDroop, NoControl):
-            kernel = kernels.rk4_constant_governed if governed else kernels.rk4_constant
-            return partial(kernel, k, cap)
-        pieces = partial(_uniform_pieces, cap)
-    return partial(_generic, controller.coefficients, pieces, rk4)
+def _substeps(law, plan, elapsed, i_first):
+    """Per block of output samples from i_first on, a zip of
+    (sample index, h, k1, km, k4) over the substeps that plan(a, b) gives
+    for the samples' steps [a, b] (a = 0 at i_first), with law evaluated at
+    once over their starts, midpoints and ends. The first block is one
+    sample. Each next one holds _PLAN_BLOCK samples, or fewer if at the last
+    block's substeps per sample that many would hold more than
+    _PLAN_SUBSTEPS substeps, so that a stiff run plans a few at a time."""
+    first, n = i_first, 1
+    while first < elapsed.size:
+        b = elapsed[first:first + n]
+        a = np.concatenate(([elapsed[first - 1] if first > i_first else 0.0], b[:-1]))
+        steps = np.flatnonzero(b > a)
+        owner, t0, h = plan(a[steps], b[steps])
+        yield zip((steps[owner] + first).tolist(), h.tolist(), law(t0).tolist(),
+                  law(t0 + 0.5 * h).tolist(), law(t0 + h).tolist())
+        first += n
+        if h.size:  # only the sample at elapsed 0 plans nothing
+            n = max(1, min(_PLAN_BLOCK, _PLAN_SUBSTEPS * n // h.size))
 
 
-def _uniform_pieces(cap: float, a: float, b: float):
-    """(start, length) substeps splitting [a, b] into equal pieces no longer
-    than cap."""
-    if b - a <= cap:
-        yield a, b - a
-        return
-    m = math.ceil((b - a) / cap)
-    h = (b - a) / m
-    t = a
-    for _ in range(m):
-        yield t, h
+def _uniform_plan(cap: float, a: np.ndarray, b: np.ndarray):
+    """(owner, start, length) arrays of the substeps splitting each step
+    [a, b] into m = ceil((b - a) / cap) equal pieces, one if b - a <= cap,
+    the starts by t = t + h; owner is the step's index."""
+    d = b - a
+    m = np.where(d <= cap, 1, np.ceil(d / cap)).astype(np.int64)
+    h = d / m
+    # a row per step: a, then h repeated; accumulating along the row is the
+    # recurrence t = t + h, one rounding per piece
+    rows = np.empty((a.size, m.max(initial=1)))
+    rows[:, 0] = a
+    rows[:, 1:] = h[:, None]
+    piece = np.arange(rows.shape[1]) < m[:, None]
+    return (np.repeat(np.arange(a.size), m), np.add.accumulate(rows, axis=1)[piece],
+            np.repeat(h, m))
+
+
+def _vdic_plan(t_sat: float, t_floor: float, cap_sat: float, cap_floor: float,
+               q: float, a: np.ndarray, b: np.ndarray):
+    """(owner, start, length) arrays of the substeps covering each step
+    [a, b] under a bounded VDIC schedule, owner the step's index: cut at the
+    clamp crossovers, capped in the saturated and floor segments, the
+    fraction q of elapsed time in the 1/t band; a piece leaving less than
+    1e-15 * b of its step takes the rest."""
+    owner, t, parts = np.arange(a.size), a, []
+    while True:
+        rest = b - t
+        h = np.minimum(rest, np.where(t < t_sat, np.minimum(t_sat - t, cap_sat),
+                                      np.where(t < t_floor, np.minimum(t_floor - t, q * t),
+                                               cap_floor)))
+        h = np.where(b - (t + h) < 1e-15 * b, rest, h)
+        parts.append((owner, t, h))
         t = t + h
+        more = t < b
+        owner, t, b = owner[more], t[more], b[more]
+        if not owner.size:
+            break
+    if len(parts) == 1:  # one piece per step, already in order
+        return parts[0]
+    owner, start, length = map(np.concatenate, zip(*parts))
+    order = np.argsort(owner, kind="stable")  # a step's pieces stay in round order
+    return owner[order], start[order], length[order]
 
 
-def _vdic_pieces(t_sat: float, t_floor: float, cap_sat: float, cap_floor: float,
-                 q: float, a: float, b: float):
-    """(start, length) substeps covering [a, b] under a bounded VDIC schedule:
-    cut at the clamp crossovers, capped in the saturated and floor segments,
-    the fraction q of elapsed time in the 1/t band."""
-    t = a
-    while t < b:
-        if t < t_sat:
-            h = min(b - t, t_sat - t, cap_sat)
-        elif t < t_floor:
-            h = min(b - t, t_floor - t, q * t)
-        else:
-            h = min(b - t, cap_floor)
-        if b - (t + h) < 1e-15 * b:
-            h = b - t
-        yield t, h
-        t = t + h
-
-
-def _generic(law, pieces, rk4, elapsed, i_first, omega, gov_series, dpf, t_j, g, tg):
-    """RK4 or explicit Euler over any controller's law, evaluated at once
-    over the starts, midpoints and ends of a block of planned substeps."""
-    w = cw = p = cp = 0.0  # state + Kahan compensations
-    a = 0.0
-    for first in range(i_first, elapsed.size, _PLAN_BLOCK):
-        starts, lengths, counts = [], [], []
-        for b in elapsed[first:first + _PLAN_BLOCK].tolist():
-            planned = len(starts)
-            if b > a:
-                for t0, h in pieces(a, b):
-                    starts.append(t0)
-                    lengths.append(h)
-                a = b
-            counts.append(len(starts) - planned)
-        t0, hs = np.array(starts), np.array(lengths)
-        if rk4:
-            substeps = zip(lengths, law(t0).tolist(), law(t0 + 0.5 * hs).tolist(),
-                           law(t0 + hs).tolist())
-        else:
-            substeps = zip(lengths, law(t0).tolist())
-        for i, count in enumerate(counts, first):
-            if rk4:
-                for h, k1, km, k4 in islice(substeps, count):
-                    half = 0.5 * h
-                    k1w = (dpf - k1 * w + p) / t_j
-                    k1p = (-g * w - p) / tg
-                    w2 = w + half * k1w
-                    p2 = p + half * k1p
-                    k2w = (dpf - km * w2 + p2) / t_j
-                    k2p = (-g * w2 - p2) / tg
-                    w3 = w + half * k2w
-                    p3 = p + half * k2p
-                    k3w = (dpf - km * w3 + p3) / t_j
-                    k3p = (-g * w3 - p3) / tg
-                    w4 = w + h * k3w
-                    p4 = p + h * k3p
-                    k4w = (dpf - k4 * w4 + p4) / t_j
-                    k4p = (-g * w4 - p4) / tg
-                    inc = (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-                    y = inc - cw
-                    s = w + y
-                    cw = (s - w) - y
-                    w = s
-                    inc = (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-                    y = inc - cp
-                    s = p + y
-                    cp = (s - p) - y
-                    p = s
-            else:
-                for h, k1 in islice(substeps, count):
-                    inc = h * ((dpf - k1 * w + p) / t_j)
-                    incp = h * ((-g * w - p) / tg)
-                    y = inc - cw
-                    s = w + y
-                    cw = (s - w) - y
-                    w = s
-                    y = incp - cp
-                    s = p + y
-                    cp = (s - p) - y
-                    p = s
-            omega[i] = w
-            gov_series[i] = p
-            if not (math.isfinite(w) and math.isfinite(p)):
-                return  # simulate reports the first non-finite sample
-
-
-def _assemble_trace(model, event, controller, times, elapsed, omega, gov_series) -> Trace:
-    post = elapsed >= 0.0
-    droop_active = np.zeros_like(elapsed)
-    droop_active[post] = controller.coefficients(elapsed[post])
+def _assemble_trace(model, event, times, i_first, droop_active, peak, omega,
+                    gov_series) -> Trace:
     ffr_power = -droop_active * omega
-    rocof = np.where(post, (event.delta_pf + ffr_power + gov_series) / model.total_inertia, 0.0)
+    rocof = np.zeros_like(omega)
+    post = slice(i_first, None)
+    rocof[post] = (event.delta_pf + ffr_power[post] + gov_series[post]) / model.total_inertia
 
     ffrs = model.ffrs
-    if not ffrs or controller.max_coefficient <= 0.0:
+    if not ffrs or peak <= 0.0:
         per_ffr_power = np.broadcast_to(0.0, (len(ffrs), times.size))
     else:
         # the split of one coefficient does not depend on the sample, so it

@@ -94,7 +94,7 @@ class FfrSpec:
             )
 
 
-def aggregate_inertia(generators: list[GeneratorSpec] | tuple[GeneratorSpec, ...],
+def _aggregate_inertia(generators: list[GeneratorSpec] | tuple[GeneratorSpec, ...],
                       system_base: float) -> float:
     """Total inertia constant: sum(S_i * T_i) / system_base, in seconds.
 
@@ -126,7 +126,7 @@ class SystemModel:
         object.__setattr__(self, "generators", tuple(generators))
         object.__setattr__(self, "ffrs", tuple(ffrs))
         object.__setattr__(
-            self, "total_inertia", aggregate_inertia(self.generators, self.system_base)
+            self, "total_inertia", _aggregate_inertia(self.generators, self.system_base)
         )
         ids = [f.id for f in self.ffrs]
         if len(set(ids)) != len(ids):

@@ -31,3 +31,36 @@ def equivalent_inertia_from_regulation(t_j: float, delta_pf: float, delta_pr: fl
 def initial_rocof(delta_pf: float, t_j: float, delta_tj: float = 0.0) -> float:
     """RoCoF right after onset with inertia t_j + delta_tj."""
     return delta_pf / (t_j + delta_tj)
+
+
+def uniform_pieces(cap: float, a: float, b: float):
+    """(start, length) substeps splitting [a, b] into equal pieces no longer
+    than cap."""
+    if b - a <= cap:
+        yield a, b - a
+        return
+    m = math.ceil((b - a) / cap)
+    h = (b - a) / m
+    t = a
+    for _ in range(m):
+        yield t, h
+        t = t + h
+
+
+def vdic_pieces(t_sat: float, t_floor: float, cap_sat: float, cap_floor: float,
+                q: float, a: float, b: float):
+    """(start, length) substeps covering [a, b] under a bounded VDIC schedule:
+    cut at the clamp crossovers, capped in the saturated and floor segments,
+    the fraction q of elapsed time in the 1/t band."""
+    t = a
+    while t < b:
+        if t < t_sat:
+            h = min(b - t, t_sat - t, cap_sat)
+        elif t < t_floor:
+            h = min(b - t, t_floor - t, q * t)
+        else:
+            h = min(b - t, cap_floor)
+        if b - (t + h) < 1e-15 * b:
+            h = b - t
+        yield t, h
+        t = t + h

@@ -244,10 +244,24 @@ class TestControllerObjects:
         got = Vdic(SCHEDULE).coefficients(np.array(times))
         assert got.tolist() == [vdic_coefficient(SCHEDULE, t) for t in times]
 
-    def test_max_coefficient(self):
-        assert NoControl().max_coefficient == 0.0
-        assert ConstantDroop(32.0).max_coefficient == 32.0
-        assert Vdic(SCHEDULE).max_coefficient == 128.0
+    def test_peak_is_read_from_the_law(self, model, event):
+        # the fleet check reads the law, not k_total: _Double(100) asks the
+        # reference fleet (four caps of 32) for 200
+        cfg = SimConfig(1e-2, 5.0)
+        with pytest.raises(ValidationError, match=r"coefficient 200\.0 exceeds the summed "
+                                                  r"per-FFR bounds 128\.0"):
+            simulate(model, event, _Double(100.0), cfg)
+        trace = simulate(model, event, _Double(50.0), cfg)
+        assert trace.droop_active[-1] == 100.0
+        assert np.allclose(trace.per_ffr_power.sum(axis=0), trace.ffr_power, rtol=1e-12,
+                           atol=0.0)
+
+
+class _Double(ConstantDroop):
+    """Twice k_total: a built-in's law raised above its argument."""
+
+    def coefficients(self, elapsed: np.ndarray) -> np.ndarray:
+        return 2.0 * super().coefficients(elapsed)
 
 
 class _Ramp(Controller):
@@ -255,10 +269,6 @@ class _Ramp(Controller):
 
     def coefficients(self, elapsed: np.ndarray) -> np.ndarray:
         return np.minimum(50.0, 3.0 * elapsed + 0.1)
-
-    @property
-    def max_coefficient(self) -> float:
-        return 50.0
 
 
 def _elapsed_probes() -> np.ndarray:

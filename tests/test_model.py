@@ -9,32 +9,33 @@ from droopinertia import (
     SimConfig,
     SystemModel,
     ValidationError,
-    aggregate_inertia,
 )
 
 
 class TestAggregateInertia:
+    """SystemModel.total_inertia: sum(S_i * T_i) / system_base, in seconds."""
+
     def test_reference_system(self):
         gens = [GeneratorSpec(1000.0, 39.2)]
-        assert aggregate_inertia(gens, 1000.0) == 39.2
+        assert SystemModel(1000.0, gens).total_inertia == 39.2
 
     def test_identity_when_rated_at_base(self):
-        assert aggregate_inertia([GeneratorSpec(500.0, 7.5)], 500.0) == 7.5
+        assert SystemModel(500.0, [GeneratorSpec(500.0, 7.5)]).total_inertia == 7.5
 
     def test_two_generator_weighted_sum(self):
         gens = [GeneratorSpec(500.0, 20.0), GeneratorSpec(500.0, 60.0)]
         # hand sum: (500*20 + 500*60) / 1000
-        assert aggregate_inertia(gens, 1000.0) == pytest.approx(40.0, rel=1e-15)
+        assert SystemModel(1000.0, gens).total_inertia == pytest.approx(40.0, rel=1e-15)
 
     def test_empty_roster_rejected(self):
-        with pytest.raises(ValidationError):
-            aggregate_inertia([], 1000.0)
+        with pytest.raises(ValidationError, match="empty generator list"):
+            SystemModel(1000.0, [])
 
     def test_nonpositive_base_rejected(self):
-        with pytest.raises(ValidationError):
-            aggregate_inertia([GeneratorSpec(100.0, 5.0)], 0.0)
-        with pytest.raises(ValidationError):
-            aggregate_inertia([GeneratorSpec(100.0, 5.0)], -10.0)
+        with pytest.raises(ValidationError, match="system_base must be > 0"):
+            SystemModel(0.0, [GeneratorSpec(100.0, 5.0)])
+        with pytest.raises(ValidationError, match="system_base must be > 0"):
+            SystemModel(-10.0, [GeneratorSpec(100.0, 5.0)])
 
 
 class TestGeneratorSpec:
@@ -72,7 +73,8 @@ class TestFfrSpec:
 
 class TestSystemModel:
     def test_total_inertia_matches_aggregate(self, model):
-        assert model.total_inertia == aggregate_inertia(model.generators, model.system_base)
+        hand = sum(g.nominal_power * g.inertia_constant for g in model.generators)
+        assert model.total_inertia == hand / model.system_base
 
     def test_requires_generators(self):
         with pytest.raises(ValidationError):

@@ -223,10 +223,6 @@ class _PoisonController(Controller):
     def coefficients(self, elapsed: np.ndarray) -> np.ndarray:
         return np.where(elapsed > 1.0, np.nan, 0.0)
 
-    @property
-    def max_coefficient(self) -> float:
-        return 0.0
-
 
 GOVERNOR = GovernorSpec(enabled=True, droop_gain=25.0, time_constant=8.0)
 _TINY_VDIC = DroopSchedule(1e-3, 1e-6, 1e-7)
@@ -253,7 +249,7 @@ class TestDivergence:
     @pytest.mark.parametrize("name", sorted(DIVERGING))
     def test_builtin_overflow_reported_with_sample_index(self, name):
         # inertia far below the governor's reach, or an imbalance near the
-        # float range, overflows every built-in kernel at a pinned sample
+        # float range, overflows the state under every built-in at a pinned sample
         t_j, controller, governor, delta_pf, onset, index = DIVERGING[name]
         model = SystemModel(1000.0, [GeneratorSpec(1000.0, t_j)], make_ffrs(1))
         cfg = SimConfig(time_step=1e-3, duration=1.0)
@@ -421,32 +417,33 @@ class TestGoldenBits:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_kernel_matches_generic_loop(self, name):
+        # a subclass that leaves the law alone gets the built-in's bits: the
+        # integrator reads the law, never the controller's exact type
         model, event, controller, config, governor = GOLDEN_CASES[name]()
-        kernel = simulate(model, event, controller, config, governor=governor)
-        clone = _via_generic_loop(controller)
-        generic = simulate(model, event, clone, config, governor=governor)
-        assert clone.calls > 1  # the generic loop ran too, not only _assemble_trace
-        assert np.array_equal(kernel.omega, generic.omega)
-        assert np.array_equal(kernel.rocof, generic.rocof)
+        builtin = simulate(model, event, controller, config, governor=governor)
+        clone = _as_subclass(controller)
+        subclassed = simulate(model, event, clone, config, governor=governor)
+        assert clone.calls > 1  # the integrator evaluated the law, not only droop_active
+        assert np.array_equal(builtin.omega, subclassed.omega)
+        assert np.array_equal(builtin.rocof, subclassed.rocof)
 
     @pytest.mark.parametrize("sub", ["constant_droop", "vdic"])
     def test_kernel_matches_generic_loop_across_plan_blocks(self, bundled, sub):
-        # the bundled run spans several of the generic loop's plan blocks
+        # the same for the bundled run, which spans several plan blocks
         cfg = load_config(default_config_path())
         law = ConstantDroop(cfg.k_total) if sub == "constant_droop" else Vdic(cfg.vdic_schedule)
-        clone = _via_generic_loop(law)
-        generic = simulate(cfg.model, cfg.event, clone, cfg.sim, governor=cfg.governor)
+        clone = _as_subclass(law)
+        subclassed = simulate(cfg.model, cfg.event, clone, cfg.sim, governor=cfg.governor)
         assert clone.calls > 1
-        assert generic.sample_times.size > 2 * integrate._PLAN_BLOCK
-        assert np.array_equal(bundled[sub].omega, generic.omega)
-        assert np.array_equal(bundled[sub].rocof, generic.rocof)
+        assert subclassed.sample_times.size > 2 * integrate._PLAN_BLOCK
+        assert np.array_equal(bundled[sub].omega, subclassed.omega)
+        assert np.array_equal(bundled[sub].rocof, subclassed.rocof)
 
 
-def _via_generic_loop(controller: Controller) -> Controller:
-    """The same controller as an instance of a subclass of its type, which
-    the integrator runs through the generic loop (kernels serve the exact
-    built-in types only). The clone counts its coefficients calls in
-    ``calls``: trace assembly makes one, and the generic loop the others."""
+def _as_subclass(controller: Controller) -> Controller:
+    """The same controller as an instance of a subclass of its type that
+    inherits the law. The clone counts its coefficients calls in ``calls``:
+    droop_active takes one, and the integrator's plan blocks the others."""
     base = type(controller)
 
     def coefficients(self, elapsed: np.ndarray) -> np.ndarray:
@@ -493,10 +490,10 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 class TestScalingLaws:
     """The model is linear in (delta_pf, omega, p_gov) from a zero state, and
-    every kernel does only elementwise + - * /, so scaling delta_pf by a
-    power of two scales omega, rocof and ffr_power bit for bit, barring
-    overflow and subnormals. Checked on the bundled subcases and on every
-    fixed case of the golden set."""
+    the integrator does only elementwise + - * / on the state, so scaling
+    delta_pf by a power of two scales omega, rocof and ffr_power bit for bit,
+    barring overflow and subnormals. Checked on the bundled subcases and on
+    every fixed case of the golden set."""
 
     @pytest.fixture(scope="class")
     def series(self):
@@ -557,6 +554,17 @@ class TestUntouchedPaths:
         n = np.arange(multipiece.sample_times.size)
         ref = -0.3 / 8000.0 * (1.0 - r ** (2 * n))
         assert np.max(np.abs(multipiece.omega - ref)) < 1e-19
+
+    @pytest.mark.parametrize("governor", [None, GOVERNOR], ids=["free", "governor"])
+    @pytest.mark.parametrize("controller", [NoControl(), ConstantDroop(32.0), Vdic(_BOUNDED)],
+                             ids=["no_control", "constant_droop", "vdic"])
+    def test_onset_at_duration_plans_no_substep(self, model, controller, governor):
+        # the only post-onset sample sits at elapsed 0, so its block plans
+        # no substep at all
+        trace = simulate(model, ImbalanceEvent(-0.3, 1.0), controller, SimConfig(1e-2, 1.0),
+                         governor=governor)
+        assert trace.sample_times[-1] == 1.0
+        assert not trace.omega.any()
 
     @pytest.mark.parametrize("sched", _INEXACT)
     def test_inexact_breakpoint_does_not_round_trip(self, sched):
