@@ -118,9 +118,33 @@ def _cmd_design_schedule(args) -> int:
     return 0
 
 
+def _check_provenance(trace, cfg: ScenarioConfig, path: Path) -> None:
+    """Refuse a trace that cfg did not produce, naming the field: its step
+    and its onset must be cfg's within 1e-9 * dt, and, for an onset on the
+    grid, where omega is 0, its rocof there must be delta_pf over the
+    simulated total inertia exactly."""
+    dt, onset, t = cfg.sim.time_step, cfg.event.onset_time, trace.sample_times
+    if abs(trace.time_step - dt) > 1e-9 * dt:
+        raise ValidationError(f"{path}: its step {trace.time_step!r} s is not "
+                              f"sim.time_step_s {dt!r} of the config")
+    i_on = int(np.searchsorted(t, onset - 1e-9 * dt))
+    if i_on == t.size or abs(trace.onset_time - t[i_on]) > 1e-9 * dt:
+        raise ValidationError(f"{path}: its onset at {trace.onset_time!r} s is not "
+                              f"event.onset_time_s {onset!r} of the config")
+    model = (cfg.model.with_added_inertia(cfg.added_inertia)
+             if cfg.subcase == "added_inertia" else cfg.model)
+    expected = cfg.event.delta_pf / model.total_inertia
+    if abs(t[i_on] - onset) <= 1e-9 * dt and trace.rocof[i_on] != expected:
+        raise ValidationError(
+            f"{path}: its rocof at the onset, {float(trace.rocof[i_on])!r}, is not "
+            f"event.delta_pf_pu / total inertia of the config, {cfg.event.delta_pf!r} / "
+            f"{model.total_inertia!r} = {expected!r}")
+
+
 def _cmd_estimate(args) -> int:
     cfg = _load(args)
     trace = read_trace_csv(args.trace)
+    _check_provenance(trace, cfg, args.trace)
     estimate = estimate_from_trace(trace, cfg.model.total_inertia, cfg.event.delta_pf)
     args.out.mkdir(parents=True, exist_ok=True)
     out_path = args.out / "inertia_estimate.csv"

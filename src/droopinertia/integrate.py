@@ -155,7 +155,7 @@ def simulate(model: SystemModel, event: ImbalanceEvent, controller: Controller,
     # the law over the samples; its peak is what the fleet must carry and
     # what bounds a uniform substep
     droop_active = np.zeros_like(elapsed)
-    droop_active[i_first:] = controller.coefficients(elapsed[i_first:])
+    droop_active[i_first:] = _checked_law(controller, elapsed[i_first:])
     peak = float(droop_active.max())
     _roster_check(model, peak)
 
@@ -187,6 +187,24 @@ def simulate(model: SystemModel, event: ImbalanceEvent, controller: Controller,
             "check controller parameters", j
         )
     return _assemble_trace(model, event, times, i_first, droop_active, peak, omega, gov_series)
+
+
+def _checked_law(controller: Controller, elapsed: np.ndarray) -> np.ndarray:
+    """controller.coefficients(elapsed), once it is a float ndarray of
+    elapsed's shape with no negative value (NaN passes, and diverges)."""
+    law = controller.coefficients(elapsed)
+    name = type(controller).__name__
+    if not (isinstance(law, np.ndarray) and law.dtype.kind == "f"
+            and law.shape == elapsed.shape):
+        raise ValidationError(
+            f"{name}.coefficients must return a float ndarray of shape {elapsed.shape}, "
+            f"got {type(law).__name__} of shape {np.asarray(law, dtype=object).shape}")
+    negative = law < 0.0
+    if negative.any():
+        j = int(np.argmax(negative))
+        raise ValidationError(f"{name}.coefficients is negative ({float(law[j])!r}) at "
+                              f"elapsed time {float(elapsed[j])!r} s after the onset")
+    return law
 
 
 def _substeps(law, plan, elapsed, i_first):

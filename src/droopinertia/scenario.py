@@ -7,10 +7,14 @@ seconds.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
+import pickle
+import warnings
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 from importlib import resources
@@ -387,34 +391,49 @@ TRACE_COLUMNS = ("t", "omega", "rocof", "ffr_power", "droop_active")
 
 _BLOCK_ROWS = 1024  # caps the formatted strings held at once, and so peak memory
 
+#: fewest blocks for which _write_csv forks a formatter process; below it the
+#: fork, the pipe and the reaping cost about what the second CPU saves
+_FORK_BLOCKS = 16
+
 #: bytes of key plus formatted text that _KEPT may hold
 _KEPT_BUDGET = 7 << 20
 
 
 class _Kept(dict):
     """Formatted blocks kept across writes, keyed like the per-block dict of
-    _write_csv, with the bytes of key plus text they hold."""
+    _format_block, with the bytes of key plus text they hold."""
 
     nbytes = 0
 
+    def __init__(self):
+        super().__init__()
+        self._finalizers: dict[tuple[str, bytes], weakref.finalize] = {}
+
     def keep(self, key: tuple[str, bytes], text: str, source: np.ndarray) -> None:
-        """Keep text under key if the budget has room, and only while the
-        array it was formatted from lives, so that a process that writes
-        traces and no case study does not hold their text."""
+        """Keep text under key if it is not kept yet and the budget has room,
+        and only while the array it was formatted from lives, so that a
+        process that writes traces and no case study does not hold their
+        text."""
         size = len(key[1]) + len(text)
-        if self.nbytes + size <= _KEPT_BUDGET:
+        if key not in self and self.nbytes + size <= _KEPT_BUDGET:
             self[key] = text
             self.nbytes += size
-            weakref.finalize(source, self.drop, key)
+            self._finalizers[key] = weakref.finalize(source, self.drop, key)
 
     def drop(self, key: tuple[str, bytes]) -> None:
         text = self.pop(key, None)
         if text is not None:
             self.nbytes -= len(key[1]) + len(text)
+            del self._finalizers[key]
 
     def clear(self) -> None:
+        """Empty the store and detach its finalizers, so that freeing the
+        arrays later runs none of them."""
         super().clear()
         self.nbytes = 0
+        for finalizer in self._finalizers.values():
+            finalizer.detach()
+        self._finalizers.clear()
 
 
 # the trace CSVs keep their t, omega and rocof blocks here, and the merged
@@ -423,35 +442,110 @@ class _Kept(dict):
 _KEPT = _Kept()
 
 
+def _format_block(cols: list[np.ndarray], lo: int, keep: int) -> tuple[str, list]:
+    """The CSV rows of the block of cols that starts at row lo, and the
+    (column, text) pairs among the first ``keep`` columns that _KEPT should
+    keep. A column slice that is constant or bit-identical to an earlier
+    slice of the block is formatted only once, and one found in _KEPT not
+    at all."""
+    formatted: dict[tuple[str, bytes], list[str]] = {}
+    fields, kept = [], []
+    for i, c in enumerate(cols):
+        part = c[lo : lo + _BLOCK_ROWS]
+        key = (part.dtype.str, part.tobytes())
+        if key not in formatted:
+            text = _KEPT.get(key)
+            if text is not None:
+                formatted[key] = text.split(", ")
+            elif key[1] == key[1][: part.itemsize] * part.size:
+                formatted[key] = [repr(part[0].item())] * part.size
+            else:
+                text = repr(part.tolist())[1:-1]
+                if i < keep:
+                    kept.append((i, text))
+                formatted[key] = text.split(", ")
+        fields.append(formatted[key])
+    return "\n".join(map(",".join, zip(*fields, strict=True))) + "\n", kept
+
+
+@contextmanager
+def _formatted(cols: list[np.ndarray], keep: int):
+    """An iterator over (lo, _format_block(cols, lo, keep)) of each block, in
+    order of its first row lo.
+
+    A write of _FORK_BLOCKS blocks or more, on a host with os.fork that lets
+    this process use two CPUs or more, forks a child that formats the odd
+    blocks and sends each through a pipe with a length prefix, while this
+    process formats the even ones. A full pipe stops the child, so neither
+    process runs more than about a block ahead of the other. The child
+    leaves with os._exit, so it flushes no inherited buffer and runs no
+    atexit hook. Leaving the context closes the read end, which ends a child
+    still writing with EPIPE, and then reaps the child."""
+    starts = range(0, len(cols[0]), _BLOCK_ROWS)
+    affinity = getattr(os, "sched_getaffinity", None)
+    if (len(starts) < _FORK_BLOCKS or not hasattr(os, "fork")
+            or (affinity is not None and len(affinity(0)) < 2)):
+        yield ((lo, _format_block(cols, lo, keep)) for lo in starts)
+        return
+    r, w = os.pipe()
+    with warnings.catch_warnings():
+        # numpy's BLAS threads make python 3.12+ warn here; the child calls no
+        # BLAS and takes no lock that one of them could hold
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            gc.disable()  # a collection would copy the pages it touches, and could run finalizers
+            os.close(r)
+            with open(w, "wb") as pipe:
+                for lo in starts[1::2]:
+                    data = pickle.dumps(_format_block(cols, lo, keep))
+                    pipe.write(len(data).to_bytes(8, "little") + data)
+                    pipe.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    pipe = open(r, "rb")
+
+    def received() -> tuple[str, list]:
+        head = pipe.read(8)
+        size = int.from_bytes(head, "little")
+        data = pipe.read(size) if len(head) == 8 else b""
+        if not data or len(data) < size:
+            raise OSError("the formatting process ended early")
+        return pickle.loads(data)
+
+    try:
+        yield ((lo, received() if j % 2 else _format_block(cols, lo, keep))
+               for j, lo in enumerate(starts))
+    finally:
+        pipe.close()
+        try:
+            os.waitpid(pid, 0)
+        except ChildProcessError:  # reaped already, as under SIGCHLD set to SIG_IGN
+            pass
+
+
 def _write_csv(path: str | Path, header: str, cols: list[np.ndarray], what: str,
                keep: int = 0) -> None:
     """Write equal-length columns under a header, each value as exactly ``repr``
-    of its Python scalar. Rows go out in blocks; within one, a column slice that
-    is constant or bit-identical to an earlier slice is formatted only once.
-    A block another write kept is not formatted again; the non-constant blocks
-    of the first ``keep`` columns are kept while _KEPT_BUDGET allows."""
+    of its Python scalar. Rows go out in blocks of _BLOCK_ROWS, each formatted
+    by _format_block, in one process or, for a long write, in two (see
+    _formatted); the bytes are the same either way. The non-constant blocks of
+    the first ``keep`` columns are kept in _KEPT in block order, while
+    _KEPT_BUDGET allows, and a block another write kept is not formatted
+    again. The file is opened before any process is forked."""
     try:
-        with open(path, "w", newline="") as f:
+        with open(path, "w", newline="") as f, _formatted(cols, keep) as blocks:
             f.write(header + "\n")
-            for lo in range(0, len(cols[0]), _BLOCK_ROWS):
-                formatted: dict[tuple[str, bytes], list[str]] = {}
-                fields = []
-                for i, c in enumerate(cols):
-                    part = c[lo : lo + _BLOCK_ROWS]
-                    key = (part.dtype.str, part.tobytes())
-                    if key not in formatted:
-                        text = _KEPT.get(key)
-                        if text is not None:
-                            formatted[key] = text.split(", ")
-                        elif key[1] == key[1][: part.itemsize] * part.size:
-                            formatted[key] = [repr(part[0].item())] * part.size
-                        else:
-                            text = repr(part.tolist())[1:-1]
-                            if i < keep:
-                                _KEPT.keep(key, text, c)
-                            formatted[key] = text.split(", ")
-                    fields.append(formatted[key])
-                f.write("\n".join(map(",".join, zip(*fields, strict=True))) + "\n")
+            for lo, (rows, kept) in blocks:
+                f.write(rows)
+                for i, text in kept:
+                    part = cols[i][lo : lo + _BLOCK_ROWS]
+                    _KEPT.keep((part.dtype.str, part.tobytes()), text, cols[i])
     except OSError as exc:
         raise OSError(f"cannot write {what} to {path}: {exc}") from exc
 

@@ -1,6 +1,9 @@
 import gc
 import hashlib
 import json
+import os
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -221,6 +224,76 @@ class TestEstimateCommand:
         assert code == 2
 
 
+class TestEstimateRefusesAnotherConfigsTrace:
+    """estimate exits 2, naming the field, when the trace's step, onset or
+    onset rocof is not what its --config gives."""
+
+    SHORT = ("--duration", "12", "--dt", "0.01")
+
+    @pytest.fixture(scope="class")
+    def traces(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("cs")
+        assert run_cli("case-study", "--out", str(out), *self.SHORT) == 0
+        return out
+
+    def _config(self, tmp_path, edit):
+        """The bundled config after edit(doc), written to a file."""
+        doc = json.loads(default_config_path().read_text())
+        edit(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def _estimate(self, tmp_path, trace, edit=lambda doc: None, *extra):
+        return run_cli("estimate", str(trace), "--config", self._config(tmp_path, edit),
+                       "--out", str(tmp_path / "o"), *self.SHORT, *extra)
+
+    @pytest.mark.parametrize("sub", ["no_control", "constant_droop", "vdic"])
+    def test_bundled_config_accepts_its_traces(self, traces, tmp_path, sub):
+        assert self._estimate(tmp_path, traces / f"trace_{sub}.csv") == 0
+
+    def test_added_inertia_trace_needs_its_subcase(self, traces, tmp_path, capsys):
+        # its onset rocof is delta_pf / (t_j + delta_tj)
+        trace = traces / "trace_added_inertia.csv"
+        assert self._estimate(tmp_path, trace) == 2
+        assert "event.delta_pf_pu / total inertia" in capsys.readouterr().err
+        assert self._estimate(tmp_path, trace, lambda d: d.update(subcase="added_inertia")) == 0
+
+    def _refused(self, traces, tmp_path, capsys, edit, field, *extra):
+        trace = traces / "trace_vdic.csv"
+        assert self._estimate(tmp_path, trace, edit, *extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {trace}: ") and field in err
+
+    def test_delta_pf(self, traces, tmp_path, capsys):
+        # it printed a median of 209.42 s, against 50.38 s with its own -0.3
+        self._refused(traces, tmp_path, capsys,
+                      lambda d: d["event"].update(delta_pf_pu=-0.2), "event.delta_pf_pu")
+
+    def test_inertia(self, traces, tmp_path, capsys):
+        self._refused(traces, tmp_path, capsys,
+                      lambda d: d["model"]["generators"][0].update(inertia_constant_s=30.0),
+                      "total inertia")
+
+    def test_onset(self, traces, tmp_path, capsys):
+        self._refused(traces, tmp_path, capsys,
+                      lambda d: d["event"].update(onset_time_s=9.0), "event.onset_time_s")
+
+    def test_step(self, traces, tmp_path, capsys):
+        self._refused(traces, tmp_path, capsys, lambda d: None, "sim.time_step_s",
+                      "--dt", "0.005")
+
+    def test_off_grid_onset_accepts_its_trace(self, tmp_path):
+        # the trace's onset is then the first sample past it, where omega is
+        # not 0, so only the step and the onset are checked
+        def edit(doc):
+            doc["event"]["onset_time_s"] = 10.005
+
+        assert run_cli("simulate", "--config", self._config(tmp_path, edit),
+                       "--out", str(tmp_path / "s"), *self.SHORT) == 0
+        assert self._estimate(tmp_path, tmp_path / "s" / "trace_vdic.csv", edit) == 0
+
+
 class TestDivergenceExitCode:
     def test_maps_to_exit_3(self, tmp_path, monkeypatch):
         from droopinertia.errors import SimulationDivergedError
@@ -305,7 +378,7 @@ class TestUnwritableOutput:
 
     def _argv(self, command, trace, out):
         if command == "estimate":
-            return ["estimate", str(trace), "--out", str(out)]
+            return ["estimate", str(trace), "--out", str(out), *self.SHORT]
         return [command, "--out", str(out), *self.SHORT]
 
     @pytest.mark.parametrize("command", ["simulate", "case-study", "estimate"])
@@ -411,8 +484,8 @@ class TestKeptBlocks:
     def test_estimate_keeps_nothing(self, result, tmp_path):
         emit_trace_csv(result.traces["vdic"], tmp_path / "trace_vdic.csv")
         scenario._KEPT.clear()
-        assert run_cli("estimate", str(tmp_path / "trace_vdic.csv"),
-                       "--out", str(tmp_path)) == 0
+        assert run_cli("estimate", str(tmp_path / "trace_vdic.csv"), "--out", str(tmp_path),
+                       "--dt", "0.01", "--duration", "20") == 0
         assert not scenario._KEPT and scenario._KEPT.nbytes == 0
 
     def test_dropped_with_the_trace(self, tmp_path):
@@ -425,3 +498,154 @@ class TestKeptBlocks:
         del trace
         gc.collect()
         assert not scenario._KEPT and scenario._KEPT.nbytes == 0
+
+
+def test_emptied_store_leaves_no_finalizer(tmp_path):
+    # freeing a case study's traces ran one dead finalizer per kept block
+    cfg = load_config(default_config_path())
+    scenario._KEPT.clear()
+    result = run_case_study(replace(cfg, sim=replace(cfg.sim, time_step=0.01, duration=20.0)))
+    for sub in SUBCASES:
+        emit_trace_csv(result.traces[sub], tmp_path / f"trace_{sub}.csv")
+    finalizers = list(scenario._KEPT._finalizers.values())
+    assert len(finalizers) == len(scenario._KEPT) and all(f.alive for f in finalizers)
+    emit_case_study_csv(result, tmp_path / "case_study.csv")
+    assert not scenario._KEPT._finalizers and not any(f.alive for f in finalizers)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedWriter:
+    """A write of _FORK_BLOCKS blocks or more formats them in two processes,
+    with the bytes and the kept set of the in-process schedule, and leaves
+    no process behind."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids the writer forks, with two CPUs whatever the host has."""
+        if not hasattr(os, "fork"):
+            pytest.skip("no os.fork on this platform")
+        pids, fork = [], os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        return pids
+
+    LONG = scenario._FORK_BLOCKS * scenario._BLOCK_ROWS + 517
+
+    def test_matches_row_loop(self, tmp_path, forks):
+        test_write_csv_matches_row_loop(tmp_path, self.LONG)
+        assert len(forks) == 1
+        _no_child_left()
+
+    def test_in_process_below_break_even(self, tmp_path, forks):
+        test_write_csv_matches_row_loop(tmp_path, (scenario._FORK_BLOCKS - 1)
+                                        * scenario._BLOCK_ROWS)
+        assert forks == []
+
+    def test_in_process_on_one_cpu(self, tmp_path, forks, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        test_write_csv_matches_row_loop(tmp_path, self.LONG)
+        assert forks == []
+
+    def test_kept_set_is_the_in_process_one(self, tmp_path, forks, monkeypatch):
+        def case_study(out):
+            """The kept set after each write of the bundled case study."""
+            scenario._KEPT.clear()
+            held = []
+
+            def write_csv(*args, **kwargs):
+                _write_csv(*args, **kwargs)
+                held.append((dict(scenario._KEPT), scenario._KEPT.nbytes))
+
+            monkeypatch.setattr(scenario, "_write_csv", write_csv)
+            assert run_cli("case-study", "--out", str(out)) == 0
+            return held
+
+        forked = case_study(tmp_path / "forked")
+        assert len(forks) == 5
+        monkeypatch.delattr(os, "fork")
+        assert case_study(tmp_path / "in_process") == forked
+        assert len(forks) == 5 and forked[3][0]
+        for name in ("case_study.csv", *(f"trace_{s}.csv" for s in SUBCASES)):
+            assert ((tmp_path / "forked" / name).read_bytes()
+                    == (tmp_path / "in_process" / name).read_bytes())
+
+    def test_repeated_block_kept_once(self, tmp_path, forks, monkeypatch):
+        # in one process the later copies find the first one kept; the child
+        # formats its copies again, and the parent must not keep them twice
+        col = np.tile(np.arange(scenario._BLOCK_ROWS) * 0.1, scenario._FORK_BLOCKS + 3)
+        kept = []
+        for _ in range(2):
+            scenario._KEPT.clear()
+            _write_csv(tmp_path / "out.csv", "c", [col], "test CSV", keep=1)
+            kept.append((dict(scenario._KEPT), scenario._KEPT.nbytes))
+            monkeypatch.delattr(os, "fork", raising=False)
+        assert len(forks) == 1 and kept[0] == kept[1] and len(kept[0][0]) == 1
+        scenario._KEPT.clear()
+
+    def test_unwritable_path_forks_nothing(self, tmp_path, forks):
+        with pytest.raises(OSError, match=re.escape(f"cannot write test CSV to {tmp_path}")):
+            _write_csv(tmp_path, "c", [np.arange(self.LONG, dtype=float)], "test CSV")
+        assert forks == []
+        _no_child_left()
+
+    def test_failed_child_names_the_path(self, tmp_path, forks, monkeypatch):
+        parent, format_block = os.getpid(), scenario._format_block
+
+        def failing(cols, lo, keep):
+            if os.getpid() != parent and lo >= 4 * scenario._BLOCK_ROWS:
+                raise RuntimeError("formatter failed")
+            return format_block(cols, lo, keep)
+
+        monkeypatch.setattr(scenario, "_format_block", failing)
+        path = tmp_path / "out.csv"
+        with pytest.raises(OSError, match=re.escape(f"cannot write test CSV to {path}: the "
+                                                    "formatting process ended early")):
+            _write_csv(path, "c", [np.arange(self.LONG) * 0.1], "test CSV")
+        assert len(forks) == 1
+        _no_child_left()
+
+    def test_failed_parent_ends_the_child(self, tmp_path, forks, monkeypatch):
+        # the parent stops reading: closing its end gives the child EPIPE
+        # on a full pipe, and the parent reaps it
+        parent, format_block = os.getpid(), scenario._format_block
+
+        def failing(cols, lo, keep):
+            if os.getpid() == parent and lo >= 4 * scenario._BLOCK_ROWS:
+                raise MemoryError("parent failed")
+            return format_block(cols, lo, keep)
+
+        monkeypatch.setattr(scenario, "_format_block", failing)
+        cols = [np.arange(self.LONG) * 0.1 for _ in range(8)]
+        with pytest.raises(MemoryError, match="parent failed"):
+            _write_csv(tmp_path / "out.csv", "c", cols, "test CSV")
+        assert len(forks) == 1
+        _no_child_left()
+
+    def test_fork_warning_of_threaded_processes_is_silenced(self, tmp_path, forks,
+                                                           monkeypatch):
+        # python 3.12 and later give this warning on a fork once numpy's BLAS
+        # has started its threads; the child takes none of their locks
+        fork = os.fork
+
+        def warning_fork():
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                          "fork() may lead to deadlocks in the child.",
+                          DeprecationWarning, stacklevel=2)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            test_write_csv_matches_row_loop(tmp_path, self.LONG)
+        assert len(forks) == 1 and caught == []

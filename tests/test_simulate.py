@@ -216,6 +216,37 @@ class TestValidation:
         with pytest.raises(ValidationError, match=r"1e\+18 samples \(sim\.duration_s"):
             simulate(model, event, NoControl(), SimConfig(1e-3, 1e15))
 
+    # the bundled fleet at dt 10 ms, as in the reports of these three laws
+    def test_law_returning_a_scalar_rejected(self, model, event):
+        with pytest.raises(ValidationError, match=r"_Law\.coefficients .* got float64 "
+                                                  r"of shape \(\)"):
+            simulate(model, event, _Law(lambda e: np.float64(16.0)), SimConfig(1e-2, 10.0))
+
+    def test_law_returning_a_list_rejected(self, model, event):
+        with pytest.raises(ValidationError, match=r"_Law\.coefficients .* shape \(1001,\), "
+                                                  r"got list of shape \(1001,\)"):
+            simulate(model, event, _Law(lambda e: [16.0] * e.size), SimConfig(1e-2, 10.0))
+
+    @pytest.mark.parametrize("onset, first", [(0.0, "0.0"), (2.0, "1.5")])
+    def test_negative_law_rejected_at_its_first_negative_time(self, model, onset, first):
+        # -5 everywhere ran and broke the per-FFR row sum; the second law
+        # turns negative 1.5 s after a later onset
+        law = (lambda e: np.full(e.size, -5.0)) if onset == 0.0 else (
+            lambda e: np.where(e < 1.5, 16.0, -5.0))
+        with pytest.raises(ValidationError, match=rf"_Law\.coefficients is negative "
+                                                  rf"\(-5\.0\) at elapsed time {first} s"):
+            simulate(model, ImbalanceEvent(-0.3, onset), _Law(law), SimConfig(1e-2, 10.0))
+
+
+class _Law(Controller):
+    """A custom controller whose coefficients are whatever law returns."""
+
+    def __init__(self, law):
+        self.law = law
+
+    def coefficients(self, elapsed):
+        return self.law(elapsed)
+
 
 class _PoisonController(Controller):
     """Turns to NaN after 1 s; exercises the divergence guard."""
