@@ -7,12 +7,10 @@ seconds.
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 import os
-import pickle
-import warnings
+import sys
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -30,6 +28,7 @@ from .controllers import (
     NoControl,
     Vdic,
 )
+from . import csvblock
 from .errors import ConfigError, ValidationError
 from .model import (FfrSpec, GeneratorSpec, ImbalanceEvent, SimConfig, SystemModel,
                     _require_finite, _require_label)
@@ -391,17 +390,18 @@ TRACE_COLUMNS = ("t", "omega", "rocof", "ffr_power", "droop_active")
 
 _BLOCK_ROWS = 1024  # caps the formatted strings held at once, and so peak memory
 
-#: fewest blocks for which _write_csv forks a formatter process; below it the
-#: fork, the pipe and the reaping cost about what the second CPU saves
-_FORK_BLOCKS = 16
+#: fewest blocks times columns for which _write_csv starts a formatter
+#: process; below it the start-up, the pipes and the reaping cost about what
+#: the second CPU saves
+_SPAWN_BLOCK_COLUMNS = 256
 
 #: bytes of key plus formatted text that _KEPT may hold
 _KEPT_BUDGET = 7 << 20
 
 
 class _Kept(dict):
-    """Formatted blocks kept across writes, keyed like the per-block dict of
-    _format_block, with the bytes of key plus text they hold."""
+    """Formatted blocks kept across writes, keyed by a column slice's dtype
+    string and bytes, with the bytes of key plus text they hold."""
 
     nbytes = 0
 
@@ -442,102 +442,122 @@ class _Kept(dict):
 _KEPT = _Kept()
 
 
-def _format_block(cols: list[np.ndarray], lo: int, keep: int) -> tuple[str, list]:
-    """The CSV rows of the block of cols that starts at row lo, and the
-    (column, text) pairs among the first ``keep`` columns that _KEPT should
-    keep. A column slice that is constant or bit-identical to an earlier
-    slice of the block is formatted only once, and one found in _KEPT not
-    at all."""
-    formatted: dict[tuple[str, bytes], list[str]] = {}
-    fields, kept = [], []
-    for i, c in enumerate(cols):
+def _block_parts(cols: list[np.ndarray], lo: int) -> list:
+    """The parts of csvblock.format_block for the block of cols that starts
+    at row lo: a column slice that _KEPT holds as its text, any other as its
+    struct format and bytes."""
+    parts = []
+    for c in cols:
         part = c[lo : lo + _BLOCK_ROWS]
-        key = (part.dtype.str, part.tobytes())
-        if key not in formatted:
-            text = _KEPT.get(key)
-            if text is not None:
-                formatted[key] = text.split(", ")
-            elif key[1] == key[1][: part.itemsize] * part.size:
-                formatted[key] = [repr(part[0].item())] * part.size
-            else:
-                text = repr(part.tolist())[1:-1]
-                if i < keep:
-                    kept.append((i, text))
-                formatted[key] = text.split(", ")
-        fields.append(formatted[key])
-    return "\n".join(map(",".join, zip(*fields, strict=True))) + "\n", kept
+        data = part.tobytes()
+        parts.append(_KEPT.get((part.dtype.str, data)) or (part.dtype.char, data))
+    return parts
+
+
+def _spawn_formatter():
+    """(pid, requests, replies) of a new process that runs csvblock.py, or
+    None where the host cannot start one, lets this process use one CPU
+    only, or is out of pipes, processes or memory."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if (not hasattr(os, "posix_spawn") or not sys.executable
+            or not os.path.isfile(csvblock.__file__)
+            or (affinity is not None and len(affinity(0)) < 2)):
+        return None
+    import fcntl  # POSIX only, as os.posix_spawn is
+
+    fds: list[int] = []
+    try:
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = os.posix_spawn(sys.executable, [sys.executable, "-I", "-S", csvblock.__file__],
+                             os.environ, file_actions=[(os.POSIX_SPAWN_DUP2, fds[0], 0),
+                                                       (os.POSIX_SPAWN_DUP2, fds[3], 1)])
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    os.close(fds[0])
+    os.close(fds[3])
+    for fd in fds[1:3]:
+        try:  # Linux: a whole request or reply fits, where 64 KiB holds less than one
+            fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, 1 << 20)
+        except (AttributeError, OSError):
+            pass
+    return pid, open(fds[1], "wb"), open(fds[2], "rb")
 
 
 @contextmanager
 def _formatted(cols: list[np.ndarray], keep: int):
-    """An iterator over (lo, _format_block(cols, lo, keep)) of each block, in
-    order of its first row lo.
+    """An iterator over (lo, csvblock.format_block(parts, keep)) of each block
+    of cols, in order of its first row lo.
 
-    A write of _FORK_BLOCKS blocks or more, on a host with os.fork that lets
-    this process use two CPUs or more, forks a child that formats the odd
-    blocks and sends each through a pipe with a length prefix, while this
-    process formats the even ones. A full pipe stops the child, so neither
-    process runs more than about a block ahead of the other. The child
-    leaves with os._exit, so it flushes no inherited buffer and runs no
-    atexit hook. Leaving the context closes the read end, which ends a child
-    still writing with EPIPE, and then reaps the child."""
+    A write of _SPAWN_BLOCK_COLUMNS blocks times columns or more starts a
+    formatter process (see _spawn_formatter and csvblock). Until it greets,
+    this process formats every block; from then on it hands the process
+    every other block, each just before it formats the one before it, so the
+    two work side by side and neither runs more than a block ahead. Leaving
+    the context closes both pipes, which ends the process, kills it if it
+    has not greeted, and reaps it. The process shares no page with this
+    one, so after it, unlike after a fork, this process finds none of its
+    pages write-protected."""
     starts = range(0, len(cols[0]), _BLOCK_ROWS)
-    affinity = getattr(os, "sched_getaffinity", None)
-    if (len(starts) < _FORK_BLOCKS or not hasattr(os, "fork")
-            or (affinity is not None and len(affinity(0)) < 2)):
-        yield ((lo, _format_block(cols, lo, keep)) for lo in starts)
+    child = _spawn_formatter() if len(starts) * len(cols) >= _SPAWN_BLOCK_COLUMNS else None
+    if child is None:
+        yield ((lo, csvblock.format_block(_block_parts(cols, lo), keep)) for lo in starts)
         return
-    r, w = os.pipe()
-    with warnings.catch_warnings():
-        # numpy's BLAS threads make python 3.12+ warn here; the child calls no
-        # BLAS and takes no lock that one of them could hold
-        warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
-                                DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            gc.disable()  # a collection would copy the pages it touches, and could run finalizers
-            os.close(r)
-            with open(w, "wb") as pipe:
-                for lo in starts[1::2]:
-                    data = pickle.dumps(_format_block(cols, lo, keep))
-                    pipe.write(len(data).to_bytes(8, "little") + data)
-                    pipe.flush()
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    pipe = open(r, "rb")
+    import select
+    import signal
 
-    def received() -> tuple[str, list]:
-        head = pipe.read(8)
-        size = int.from_bytes(head, "little")
-        data = pipe.read(size) if len(head) == 8 else b""
-        if not data or len(data) < size:
-            raise OSError("the formatting process ended early")
-        return pickle.loads(data)
+    pid, requests, replies = child
+    greeted = False  # None once the process has ended without greeting
+
+    def shared():
+        nonlocal greeted
+        theirs = -1
+        for lo in starts:
+            if lo == theirs:
+                try:
+                    reply = csvblock.receive(replies)
+                except EOFError:
+                    raise OSError("the formatting process ended early") from None
+                yield lo, reply
+                continue
+            if greeted is False and select.select([replies], [], [], 0)[0]:
+                try:
+                    greeted = csvblock.receive(replies) is None
+                except EOFError:  # it did not start: go on alone
+                    greeted = None
+            if greeted and lo + _BLOCK_ROWS < len(cols[0]):
+                theirs = lo + _BLOCK_ROWS
+                csvblock.send(requests, (keep, _block_parts(cols, theirs)))
+            yield lo, csvblock.format_block(_block_parts(cols, lo), keep)
 
     try:
-        yield ((lo, received() if j % 2 else _format_block(cols, lo, keep))
-               for j, lo in enumerate(starts))
+        yield shared()
     finally:
-        pipe.close()
+        replies.close()
         try:
+            requests.close()
+        except OSError:  # the unsent rest of a request the process did not take
+            pass
+        try:
+            if not greeted:
+                os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        except ChildProcessError:  # reaped already, as under SIGCHLD set to SIG_IGN
+        except (ProcessLookupError, ChildProcessError):  # reaped already: SIGCHLD is ignored
             pass
 
 
 def _write_csv(path: str | Path, header: str, cols: list[np.ndarray], what: str,
                keep: int = 0) -> None:
-    """Write equal-length columns under a header, each value as exactly ``repr``
-    of its Python scalar. Rows go out in blocks of _BLOCK_ROWS, each formatted
-    by _format_block, in one process or, for a long write, in two (see
-    _formatted); the bytes are the same either way. The non-constant blocks of
-    the first ``keep`` columns are kept in _KEPT in block order, while
-    _KEPT_BUDGET allows, and a block another write kept is not formatted
-    again. The file is opened before any process is forked."""
+    """Write equal-length columns of native numbers under a header, each value
+    as exactly ``repr`` of its Python scalar. Rows go out in blocks of
+    _BLOCK_ROWS, each formatted by csvblock.format_block, in this process or,
+    for a long write, in two (see _formatted); the bytes are the same either
+    way. The non-constant blocks of the first ``keep`` columns are kept in
+    _KEPT in block order, while _KEPT_BUDGET allows, and a block another write
+    kept is not formatted again. The file is opened before any process
+    starts."""
     try:
         with open(path, "w", newline="") as f, _formatted(cols, keep) as blocks:
             f.write(header + "\n")

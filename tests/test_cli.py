@@ -518,46 +518,123 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-class TestForkedWriter:
-    """A write of _FORK_BLOCKS blocks or more formats them in two processes,
-    with the bytes and the kept set of the in-process schedule, and leaves
-    no process behind."""
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+# a formatter that greets, takes one request and dies
+_DYING_FORMATTER = """
+import marshal, os
+greeting = marshal.dumps(None)
+os.write(1, len(greeting).to_bytes(8, "little") + greeting)
+os.read(0, 8)
+os._exit(1)
+"""
+
+
+class TestSpawnedWriter:
+    """A write of _SPAWN_BLOCK_COLUMNS blocks times columns or more formats
+    them in two processes, with the bytes and the kept set of the in-process
+    schedule, and leaves no process and no file descriptor behind."""
 
     @pytest.fixture
-    def forks(self, monkeypatch):
-        """The pids the writer forks, with two CPUs whatever the host has."""
-        if not hasattr(os, "fork"):
-            pytest.skip("no os.fork on this platform")
-        pids, fork = [], os.fork
+    def spawns(self, monkeypatch):
+        """The pids the writer starts, with two CPUs whatever the host has;
+        the writer waits for each process's greeting, so that the process
+        formats its share of the blocks however slowly it starts."""
+        if not hasattr(os, "posix_spawn"):
+            pytest.skip("no os.posix_spawn on this platform")
+        import select
 
-        def counted():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
+        pids, spawn, poll = [], os.posix_spawn, select.select
 
-        monkeypatch.setattr(os, "fork", counted)
+        def counted(*args, **kwargs):
+            pids.append(spawn(*args, **kwargs))
+            return pids[-1]
+
+        monkeypatch.setattr(os, "posix_spawn", counted)
+        monkeypatch.setattr(select, "select", lambda r, w, x, timeout: poll(r, w, x))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         return pids
 
-    LONG = scenario._FORK_BLOCKS * scenario._BLOCK_ROWS + 517
+    @pytest.fixture
+    def replies(self, monkeypatch):
+        """How many messages, the greeting included, the writer receives."""
+        got, receive = [], scenario.csvblock.receive
 
-    def test_matches_row_loop(self, tmp_path, forks):
+        def counted(f):
+            got.append(receive(f))
+            return got[-1]
+
+        monkeypatch.setattr(scenario.csvblock, "receive", counted)
+        return got
+
+    # rows of a 16-column write just past the break-even, and of one just short of it
+    LONG = -(-scenario._SPAWN_BLOCK_COLUMNS // 16) * scenario._BLOCK_ROWS + 517
+    SHORT = (scenario._SPAWN_BLOCK_COLUMNS // 16 - 1) * scenario._BLOCK_ROWS
+
+    def test_matches_row_loop(self, tmp_path, spawns, replies):
+        fds = _open_fds()
         test_write_csv_matches_row_loop(tmp_path, self.LONG)
-        assert len(forks) == 1
+        # the greeting, then every other block from the second one on
+        blocks = -(-self.LONG // scenario._BLOCK_ROWS)
+        assert len(spawns) == 1 and len(replies) == 1 + (blocks - 1) // 2
+        assert _open_fds() == fds
         _no_child_left()
 
-    def test_in_process_below_break_even(self, tmp_path, forks):
-        test_write_csv_matches_row_loop(tmp_path, (scenario._FORK_BLOCKS - 1)
-                                        * scenario._BLOCK_ROWS)
-        assert forks == []
+    def test_in_process_below_break_even(self, tmp_path, spawns):
+        test_write_csv_matches_row_loop(tmp_path, self.SHORT)
+        assert spawns == []
 
-    def test_in_process_on_one_cpu(self, tmp_path, forks, monkeypatch):
+    def test_in_process_on_one_cpu(self, tmp_path, spawns, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         test_write_csv_matches_row_loop(tmp_path, self.LONG)
-        assert forks == []
+        assert spawns == []
 
-    def test_kept_set_is_the_in_process_one(self, tmp_path, forks, monkeypatch):
+    def test_in_process_when_no_process_starts(self, tmp_path, monkeypatch):
+        # out of processes: the write goes on in this process, and closes
+        # the pipes it made
+        def refused(*args, **kwargs):
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "posix_spawn", refused)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        fds = _open_fds()
+        test_write_csv_matches_row_loop(tmp_path, self.LONG)
+        assert _open_fds() == fds
+        _no_child_left()
+
+    def test_in_process_when_the_process_never_greets(self, tmp_path, spawns, monkeypatch):
+        script = tmp_path / "silent.py"
+        script.write_text("import os\nos._exit(1)\n")
+        monkeypatch.setattr(scenario.csvblock, "__file__", str(script))
+        test_write_csv_matches_row_loop(tmp_path, self.LONG)
+        assert len(spawns) == 1
+        _no_child_left()
+
+    def test_silent_process_is_killed(self, tmp_path, monkeypatch):
+        # a process that neither greets nor ends is killed once the writer
+        # has formatted every block itself
+        script = tmp_path / "silent.py"
+        script.write_text("import time\ntime.sleep(600)\n")
+        monkeypatch.setattr(scenario.csvblock, "__file__", str(script))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        test_write_csv_matches_row_loop(tmp_path, self.LONG)
+        _no_child_left()
+
+    def test_sigchld_ignored(self, tmp_path, spawns, replies):
+        # the system reaps the process itself, and the writer must not fail
+        import signal
+
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            test_write_csv_matches_row_loop(tmp_path, self.LONG)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert len(spawns) == 1 and len(replies) > 1
+        _no_child_left()
+
+    def test_kept_set_is_the_in_process_one(self, tmp_path, spawns, replies, monkeypatch):
         def case_study(out):
             """The kept set after each write of the bundled case study."""
             scenario._KEPT.clear()
@@ -571,81 +648,71 @@ class TestForkedWriter:
             assert run_cli("case-study", "--out", str(out)) == 0
             return held
 
-        forked = case_study(tmp_path / "forked")
-        assert len(forks) == 5
-        monkeypatch.delattr(os, "fork")
-        assert case_study(tmp_path / "in_process") == forked
-        assert len(forks) == 5 and forked[3][0]
+        shared = case_study(tmp_path / "shared")
+        assert len(spawns) == 5 and len(replies) > 5 * 2
+        monkeypatch.delattr(os, "posix_spawn")
+        assert case_study(tmp_path / "in_process") == shared
+        assert len(spawns) == 5 and shared[3][0]
         for name in ("case_study.csv", *(f"trace_{s}.csv" for s in SUBCASES)):
-            assert ((tmp_path / "forked" / name).read_bytes()
+            assert ((tmp_path / "shared" / name).read_bytes()
                     == (tmp_path / "in_process" / name).read_bytes())
 
-    def test_repeated_block_kept_once(self, tmp_path, forks, monkeypatch):
-        # in one process the later copies find the first one kept; the child
-        # formats its copies again, and the parent must not keep them twice
-        col = np.tile(np.arange(scenario._BLOCK_ROWS) * 0.1, scenario._FORK_BLOCKS + 3)
+    def test_repeated_block_kept_once(self, tmp_path, spawns, monkeypatch):
+        # in one process the later copies find the first one kept; the
+        # formatter process formats its copies again, and the writer must
+        # not keep them twice
+        col = np.tile(np.arange(scenario._BLOCK_ROWS) * 0.1,
+                      -(-self.LONG // scenario._BLOCK_ROWS) + 2)
+        cols = [col] + [np.zeros(col.size)] * 15
         kept = []
         for _ in range(2):
             scenario._KEPT.clear()
-            _write_csv(tmp_path / "out.csv", "c", [col], "test CSV", keep=1)
+            _write_csv(tmp_path / "out.csv", "c", cols, "test CSV", keep=1)
             kept.append((dict(scenario._KEPT), scenario._KEPT.nbytes))
-            monkeypatch.delattr(os, "fork", raising=False)
-        assert len(forks) == 1 and kept[0] == kept[1] and len(kept[0][0]) == 1
+            monkeypatch.delattr(os, "posix_spawn", raising=False)
+        assert len(spawns) == 1 and kept[0] == kept[1] and len(kept[0][0]) == 1
         scenario._KEPT.clear()
 
-    def test_unwritable_path_forks_nothing(self, tmp_path, forks):
+    def test_unwritable_path_starts_nothing(self, tmp_path, spawns):
         with pytest.raises(OSError, match=re.escape(f"cannot write test CSV to {tmp_path}")):
-            _write_csv(tmp_path, "c", [np.arange(self.LONG, dtype=float)], "test CSV")
-        assert forks == []
+            _write_csv(tmp_path, "c", [np.arange(self.LONG, dtype=float)] * 16, "test CSV")
+        assert spawns == []
         _no_child_left()
 
-    def test_failed_child_names_the_path(self, tmp_path, forks, monkeypatch):
-        parent, format_block = os.getpid(), scenario._format_block
-
-        def failing(cols, lo, keep):
-            if os.getpid() != parent and lo >= 4 * scenario._BLOCK_ROWS:
-                raise RuntimeError("formatter failed")
-            return format_block(cols, lo, keep)
-
-        monkeypatch.setattr(scenario, "_format_block", failing)
+    def test_failed_process_names_the_path(self, tmp_path, spawns, monkeypatch):
+        script = tmp_path / "dying.py"
+        script.write_text(_DYING_FORMATTER)
+        monkeypatch.setattr(scenario.csvblock, "__file__", str(script))
         path = tmp_path / "out.csv"
+        fds = _open_fds()
         with pytest.raises(OSError, match=re.escape(f"cannot write test CSV to {path}: the "
                                                     "formatting process ended early")):
-            _write_csv(path, "c", [np.arange(self.LONG) * 0.1], "test CSV")
-        assert len(forks) == 1
+            _write_csv(path, "c", [np.arange(self.LONG) * 0.1] * 16, "test CSV")
+        assert len(spawns) == 1 and _open_fds() == fds
         _no_child_left()
 
-    def test_failed_parent_ends_the_child(self, tmp_path, forks, monkeypatch):
-        # the parent stops reading: closing its end gives the child EPIPE
-        # on a full pipe, and the parent reaps it
-        parent, format_block = os.getpid(), scenario._format_block
+    def test_failed_writer_ends_the_process(self, tmp_path, spawns, monkeypatch):
+        # the writer stops reading: closing its ends of the pipes ends the
+        # process, and the writer reaps it
+        calls, format_block = [], scenario.csvblock.format_block
 
-        def failing(cols, lo, keep):
-            if os.getpid() == parent and lo >= 4 * scenario._BLOCK_ROWS:
-                raise MemoryError("parent failed")
-            return format_block(cols, lo, keep)
+        def failing(parts, keep):
+            calls.append(None)
+            if len(calls) > 4:
+                raise MemoryError("writer failed")
+            return format_block(parts, keep)
 
-        monkeypatch.setattr(scenario, "_format_block", failing)
-        cols = [np.arange(self.LONG) * 0.1 for _ in range(8)]
-        with pytest.raises(MemoryError, match="parent failed"):
+        monkeypatch.setattr(scenario.csvblock, "format_block", failing)
+        cols = [np.arange(self.LONG) * 0.1 for _ in range(16)]
+        with pytest.raises(MemoryError, match="writer failed"):
             _write_csv(tmp_path / "out.csv", "c", cols, "test CSV")
-        assert len(forks) == 1
+        assert len(spawns) == 1
         _no_child_left()
 
-    def test_fork_warning_of_threaded_processes_is_silenced(self, tmp_path, forks,
-                                                           monkeypatch):
-        # python 3.12 and later give this warning on a fork once numpy's BLAS
-        # has started its threads; the child takes none of their locks
-        fork = os.fork
-
-        def warning_fork():
-            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
-                          "fork() may lead to deadlocks in the child.",
-                          DeprecationWarning, stacklevel=2)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", warning_fork)
+    def test_writes_without_warnings(self, tmp_path, spawns):
+        # python 3.12 and later warn on os.fork in a process with threads, as
+        # numpy's BLAS has; the writer starts its process without a fork
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             test_write_csv_matches_row_loop(tmp_path, self.LONG)
-        assert len(forks) == 1 and caught == []
+        assert len(spawns) == 1 and caught == []
