@@ -7,43 +7,80 @@ takes over 100 ms. That process greets its parent with an empty message,
 then answers each ``(keep, parts)`` message on stdin with
 ``format_block(parts, keep)`` on stdout until stdin ends. A message is its
 marshal bytes behind their length as 8 little-endian bytes.
+
+A text kept for a later write is packed two characters a byte (see pack), so
+it takes half the memory, and half the pipe, of its str.
 """
 
 import marshal
 import os
 
 
+# the characters of a formatted number and of the ", " between two, in the
+# order of the hex digits that stand for them; a hex digit that stands for
+# none of them is mapped to "x", which bytes.fromhex refuses
+_ALPHABET = "0123456789.-e+, "
+_PACK = str.maketrans(_ALPHABET + "abcdfABCDEF", "0123456789abcdef" + "x" * 11)
+_UNPACK = str.maketrans("0123456789abcdef", _ALPHABET)
+
+
+def pack(text: str) -> bytes | None:
+    """text two characters a byte, an odd length padded with a space; None
+    if text holds a character outside _ALPHABET (as ``nan`` and ``inf`` do)
+    or ends with a space, so that unpack(pack(text)) == text."""
+    if text.endswith(" "):
+        return None
+    try:
+        packed = bytes.fromhex((text + " " * (len(text) & 1)).translate(_PACK))
+    except ValueError:
+        return None
+    # fromhex skips ASCII whitespace, such as a newline, between two bytes
+    return packed if len(packed) == (len(text) + 1) // 2 else None
+
+
+def unpack(packed: bytes) -> str:
+    """The text that pack packed into packed."""
+    text = packed.hex().translate(_UNPACK)
+    return text[:-1] if text.endswith(" ") else text
+
+
 def format_block(parts: list, keep: int) -> tuple[str, list]:
     """The CSV rows of one block of columns, each value exactly ``repr`` of
-    its Python scalar, and the (column, text) pairs among the first ``keep``
-    columns that the writer may keep for a later write.
+    its Python scalar, and the (column, packed text) pairs among the first
+    ``keep`` columns that the writer may keep for a later write: those whose
+    text pack accepts.
 
     A part is a column's values as (struct format, native bytes), or, for a
-    column an earlier write kept, its text. A column that is constant, or
-    bit-identical to an earlier column of the block, is formatted once."""
+    column an earlier write kept, its packed text. A column that is constant,
+    or bit-identical to an earlier column of the block, is formatted once."""
     formatted: dict[object, list[str]] = {}
     fields, kept = [], []
     for i, part in enumerate(parts):
         if part not in formatted:
-            if isinstance(part, str):
-                formatted[part] = part.split(", ")
+            if isinstance(part, bytes):
+                formatted[part] = unpack(part).split(", ")
             else:
                 values = memoryview(part[1]).cast(part[0])
                 if part[1] == part[1][: values.itemsize] * len(values):
                     formatted[part] = [repr(values[0])] * len(values)
                 else:
                     text = repr(values.tolist())[1:-1]
-                    if i < keep:
-                        kept.append((i, text))
+                    packed = pack(text) if i < keep else None
+                    if packed is not None:
+                        kept.append((i, packed))
                     formatted[part] = text.split(", ")
         fields.append(formatted[part])
     return "\n".join(map(",".join, zip(*fields, strict=True))) + "\n", kept
 
 
-def send(f, message) -> None:
+def encode(message) -> bytes:
+    """message as it goes down a pipe: its marshal bytes behind their length."""
     data = marshal.dumps(message)
-    f.write(len(data).to_bytes(8, "little"))
-    f.write(data)
+    return len(data).to_bytes(8, "little") + data
+
+
+def send(f, message) -> None:
+    f.write(encode(message))
     f.flush()
 
 

@@ -56,6 +56,7 @@ _ALLOCATION_CHUNK = 2048
 # once, and the substeps a block is sized to hold when a sample has several
 _PLAN_BLOCK = 1024
 _PLAN_SUBSTEPS = 8192
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,7 @@ def simulate(model: SystemModel, event: ImbalanceEvent, controller: Controller,
     from . import kernels
 
     step = (kernels.rk4_governed if gov.enabled else kernels.rk4) if rk4 else kernels.euler
-    step(chain.from_iterable(_substeps(controller.coefficients, plan, elapsed, i_first)),
+    step(chain.from_iterable(_substeps(controller, plan, elapsed, i_first)),
          omega, gov_series, float(event.delta_pf), t_j, g, tg)
 
     finite = np.isfinite(omega) & np.isfinite(gov_series)
@@ -199,30 +200,40 @@ def _checked_law(controller: Controller, elapsed: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"{name}.coefficients must return a float ndarray of shape {elapsed.shape}, "
             f"got {type(law).__name__} of shape {np.asarray(law, dtype=object).shape}")
-    negative = law < 0.0
-    if negative.any():
-        j = int(np.argmax(negative))
-        raise ValidationError(f"{name}.coefficients is negative ({float(law[j])!r}) at "
-                              f"elapsed time {float(elapsed[j])!r} s after the onset")
+    _refuse_negative(controller, law, elapsed)
     return law
 
 
-def _substeps(law, plan, elapsed, i_first):
+def _refuse_negative(controller: Controller, law: np.ndarray, elapsed: np.ndarray) -> None:
+    """Raise ValidationError naming the earliest elapsed time where law, the
+    controller's coefficients there, is negative."""
+    negative = np.flatnonzero(law < 0.0)
+    if negative.size:
+        j = negative[np.argmin(elapsed[negative])]
+        raise ValidationError(f"{type(controller).__name__}.coefficients is negative "
+                              f"({float(law[j])!r}) at elapsed time {float(elapsed[j])!r} "
+                              "s after the onset")
+
+
+def _substeps(controller, plan, elapsed, i_first):
     """Per block of output samples from i_first on, a zip of
     (sample index, h, k1, km, k4) over the substeps that plan(a, b) gives
-    for the samples' steps [a, b] (a = 0 at i_first), with law evaluated at
-    once over their starts, midpoints and ends. The first block is one
-    sample. Each next one holds _PLAN_BLOCK samples, or fewer if at the last
-    block's substeps per sample that many would hold more than
-    _PLAN_SUBSTEPS substeps, so that a stiff run plans a few at a time."""
+    for the samples' steps [a, b] (a = 0 at i_first), with the controller's
+    law evaluated at once over their starts, midpoints and ends, none of
+    them negative. The first block is one sample. Each next one holds
+    _PLAN_BLOCK samples, or fewer if at the last block's substeps per sample
+    that many would hold more than _PLAN_SUBSTEPS substeps, so that a stiff
+    run plans a few at a time."""
     first, n = i_first, 1
     while first < elapsed.size:
         b = elapsed[first:first + n]
         a = np.concatenate(([elapsed[first - 1] if first > i_first else 0.0], b[:-1]))
         steps = np.flatnonzero(b > a)
         owner, t0, h = plan(a[steps], b[steps])
-        yield zip((steps[owner] + first).tolist(), h.tolist(), law(t0).tolist(),
-                  law(t0 + 0.5 * h).tolist(), law(t0 + h).tolist())
+        times = np.concatenate((t0, t0 + 0.5 * h, t0 + h))
+        law = controller.coefficients(times)
+        _refuse_negative(controller, law, times)
+        yield zip((steps[owner] + first).tolist(), h.tolist(), *law.reshape(3, -1).tolist())
         first += n
         if h.size:  # only the sample at elapsed 0 plans nothing
             n = max(1, min(_PLAN_BLOCK, _PLAN_SUBSTEPS * n // h.size))
@@ -251,10 +262,38 @@ def _vdic_plan(t_sat: float, t_floor: float, cap_sat: float, cap_floor: float,
     [a, b] under a bounded VDIC schedule, owner the step's index: cut at the
     clamp crossovers, capped in the saturated and floor segments, the
     fraction q of elapsed time in the 1/t band; a piece leaving less than
-    1e-15 * b of its step takes the rest."""
+    1e-15 * b of its step takes the rest.
+
+    Each round plans, for every step not yet covered, its run of whole band
+    pieces q * t, then one piece by the rules above. As q is 1/8, q * t is
+    exact and t + q * t rounds as t * (1 + q) does, so one
+    multiply.accumulate gives the starts of a run however long it is."""
     owner, t, parts = np.arange(a.size), a, []
     while True:
         rest = b - t
+        # the steps whose next piece is a whole band piece: within the band
+        # and the step, leaving more than the tail, and of a t large enough
+        # that q * t is exact; none if no step has room for q times its t
+        whole = rest.size and q * t.min() <= rest.max() and (
+            (t >= max(t_sat, 8.0 * _TINY)) & (q * t <= t_floor - t) & (q * t <= rest)
+            & (b - t * (1.0 + q) >= 1e-15 * b))
+        if np.any(whole):
+            i = np.flatnonzero(whole)
+            t_i, b_i = t[i], b[i][:, None]
+            # the pieces up to the first cut, at b or at t_floor, plus one
+            width = 2 + int(np.log(np.minimum(b_i[:, 0], t_floor) / t_i).max() / math.log1p(q))
+            rows = np.empty((i.size, min(width, _PLAN_SUBSTEPS // i.size + 2)))
+            rows[:, 0] = t_i
+            rows[:, 1:] = 1.0 + q
+            s = np.multiply.accumulate(rows, axis=1)
+            s0, s1 = s[:, :-1], s[:, 1:]
+            run = np.logical_and.accumulate((q * s0 <= t_floor - s0) & (q * s0 <= b_i - s0)
+                                            & (b_i - s1 >= 1e-15 * b_i), axis=1)
+            pieces = run.sum(axis=1)
+            parts.append((np.repeat(owner[i], pieces), s0[run], q * s0[run]))
+            t = t.copy()
+            t[i] = s[np.arange(i.size), pieces]
+            rest = b - t
         h = np.minimum(rest, np.where(t < t_sat, np.minimum(t_sat - t, cap_sat),
                                       np.where(t < t_floor, np.minimum(t_floor - t, q * t),
                                                cap_floor)))

@@ -395,13 +395,14 @@ _BLOCK_ROWS = 1024  # caps the formatted strings held at once, and so peak memor
 #: the second CPU saves
 _SPAWN_BLOCK_COLUMNS = 256
 
-#: bytes of key plus formatted text that _KEPT may hold
+#: bytes of key plus packed text that _KEPT may hold
 _KEPT_BUDGET = 7 << 20
 
 
 class _Kept(dict):
-    """Formatted blocks kept across writes, keyed by a column slice's dtype
-    string and bytes, with the bytes of key plus text they hold."""
+    """Formatted blocks kept across writes as their text packed two
+    characters a byte (csvblock.pack), keyed by a column slice's dtype string
+    and bytes, with the bytes of key plus packed text they hold."""
 
     nbytes = 0
 
@@ -409,21 +410,21 @@ class _Kept(dict):
         super().__init__()
         self._finalizers: dict[tuple[str, bytes], weakref.finalize] = {}
 
-    def keep(self, key: tuple[str, bytes], text: str, source: np.ndarray) -> None:
-        """Keep text under key if it is not kept yet and the budget has room,
-        and only while the array it was formatted from lives, so that a
-        process that writes traces and no case study does not hold their
+    def keep(self, key: tuple[str, bytes], packed: bytes, source: np.ndarray) -> None:
+        """Keep packed under key if it is not kept yet and the budget has
+        room, and only while the array it was formatted from lives, so that
+        a process that writes traces and no case study does not hold their
         text."""
-        size = len(key[1]) + len(text)
+        size = len(key[1]) + len(packed)
         if key not in self and self.nbytes + size <= _KEPT_BUDGET:
-            self[key] = text
+            self[key] = packed
             self.nbytes += size
             self._finalizers[key] = weakref.finalize(source, self.drop, key)
 
     def drop(self, key: tuple[str, bytes]) -> None:
-        text = self.pop(key, None)
-        if text is not None:
-            self.nbytes -= len(key[1]) + len(text)
+        packed = self.pop(key, None)
+        if packed is not None:
+            self.nbytes -= len(key[1]) + len(packed)
             del self._finalizers[key]
 
     def clear(self) -> None:
@@ -444,8 +445,8 @@ _KEPT = _Kept()
 
 def _block_parts(cols: list[np.ndarray], lo: int) -> list:
     """The parts of csvblock.format_block for the block of cols that starts
-    at row lo: a column slice that _KEPT holds as its text, any other as its
-    struct format and bytes."""
+    at row lo: a column slice that _KEPT holds as its packed text, any other
+    as its struct format and bytes."""
     parts = []
     for c in cols:
         part = c[lo : lo + _BLOCK_ROWS]
@@ -455,8 +456,9 @@ def _block_parts(cols: list[np.ndarray], lo: int) -> list:
 
 
 def _spawn_formatter():
-    """(pid, requests, replies) of a new process that runs csvblock.py, or
-    None where the host cannot start one, lets this process use one CPU
+    """(pid, requests, replies, room) of a new process that runs csvblock.py,
+    room the bytes that the requests pipe is known to hold (0 where unknown),
+    or None where the host cannot start one, lets this process use one CPU
     only, or is out of pipes, processes or memory."""
     affinity = getattr(os, "sched_getaffinity", None)
     if (not hasattr(os, "posix_spawn") or not sys.executable
@@ -478,12 +480,13 @@ def _spawn_formatter():
         return None
     os.close(fds[0])
     os.close(fds[3])
+    rooms = []
     for fd in fds[1:3]:
         try:  # Linux: a whole request or reply fits, where 64 KiB holds less than one
-            fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, 1 << 20)
+            rooms.append(fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, 1 << 20))
         except (AttributeError, OSError):
-            pass
-    return pid, open(fds[1], "wb"), open(fds[2], "rb")
+            rooms.append(0)
+    return pid, open(fds[1], "wb"), open(fds[2], "rb"), rooms[0]
 
 
 @contextmanager
@@ -494,12 +497,15 @@ def _formatted(cols: list[np.ndarray], keep: int):
     A write of _SPAWN_BLOCK_COLUMNS blocks times columns or more starts a
     formatter process (see _spawn_formatter and csvblock). Until it greets,
     this process formats every block; from then on it hands the process
-    every other block, each just before it formats the one before it, so the
-    two work side by side and neither runs more than a block ahead. Leaving
-    the context closes both pipes, which ends the process, kills it if it
-    has not greeted, and reaps it. The process shares no page with this
-    one, so after it, unlike after a fork, this process finds none of its
-    pages write-protected."""
+    every other block, and keeps two of them queued: before it formats a
+    block, it sends the process the next block and the one after the next
+    but one, unless sent already. So the process finds its next block
+    waiting when it finishes one. The second is sent only while a request
+    fits in the requests pipe, so that neither process can block writing to
+    the other while that one blocks writing too. Leaving the context closes
+    both pipes, which ends the process, kills it if it has not greeted, and
+    reaps it. The process shares no page with this one, so after it, unlike
+    after a fork, this process finds none of its pages write-protected."""
     starts = range(0, len(cols[0]), _BLOCK_ROWS)
     child = _spawn_formatter() if len(starts) * len(cols) >= _SPAWN_BLOCK_COLUMNS else None
     if child is None:
@@ -508,29 +514,35 @@ def _formatted(cols: list[np.ndarray], keep: int):
     import select
     import signal
 
-    pid, requests, replies = child
+    pid, requests, replies, room = child
     greeted = False  # None once the process has ended without greeting
 
     def shared():
         nonlocal greeted
-        theirs = -1
+        theirs: list[int] = []  # the blocks sent and not yet answered, in order
         for lo in starts:
-            if lo == theirs:
-                try:
+            reply = None
+            try:
+                if theirs and theirs[0] == lo:
                     reply = csvblock.receive(replies)
-                except EOFError:
-                    raise OSError("the formatting process ended early") from None
-                yield lo, reply
-                continue
-            if greeted is False and select.select([replies], [], [], 0)[0]:
-                try:
-                    greeted = csvblock.receive(replies) is None
-                except EOFError:  # it did not start: go on alone
-                    greeted = None
-            if greeted and lo + _BLOCK_ROWS < len(cols[0]):
-                theirs = lo + _BLOCK_ROWS
-                csvblock.send(requests, (keep, _block_parts(cols, theirs)))
-            yield lo, csvblock.format_block(_block_parts(cols, lo), keep)
+                    del theirs[0]
+                else:
+                    if greeted is False and select.select([replies], [], [], 0)[0]:
+                        try:
+                            greeted = csvblock.receive(replies) is None
+                        except EOFError:  # it did not start: go on alone
+                            greeted = None
+                    for ahead in (lo + _BLOCK_ROWS, lo + 3 * _BLOCK_ROWS) if greeted else ():
+                        if ahead < len(cols[0]) and (not theirs or ahead > theirs[-1]):
+                            request = csvblock.encode((keep, _block_parts(cols, ahead)))
+                            if theirs and len(request) > room:
+                                break
+                            requests.write(request)
+                            requests.flush()
+                            theirs.append(ahead)
+            except (EOFError, BrokenPipeError):
+                raise OSError("the formatting process ended early") from None
+            yield lo, reply or csvblock.format_block(_block_parts(cols, lo), keep)
 
     try:
         yield shared()

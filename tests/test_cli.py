@@ -414,6 +414,56 @@ class TestUnwritableOutput:
         assert err.startswith("error: cannot write ") and str(out / name) in err
 
 
+class TestPackedText:
+    """csvblock.pack stores a formatted text two characters a byte, and
+    unpack gives the text back; a text pack cannot store is not kept."""
+
+    ALPHABET = "0123456789.-e+, "
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 15, 16, 17, 1023, 1024])
+    def test_round_trip(self, size):
+        rng = np.random.default_rng(size)
+        texts = [self.ALPHABET[:size], "".join(rng.choice(list(self.ALPHABET), size=size)),
+                 *(c * size for c in self.ALPHABET)]
+        for text in texts:
+            text = text.rstrip(" ")
+            packed = scenario.csvblock.pack(text)
+            assert len(packed) == (len(text) + 1) // 2
+            assert scenario.csvblock.unpack(packed) == text
+
+    def test_specials_round_trip(self):
+        numbers = [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, -5e-324, 0.1]
+        text = repr(numbers)[1:-1]
+        assert "1e+16" in text and "1.7976931348623157e+308" in text and "1e-05" in text
+        for part in (text, *text.split(", ")):
+            assert scenario.csvblock.unpack(scenario.csvblock.pack(part)) == part
+
+    @pytest.mark.parametrize("text", ["nan", "1.0, nan", "inf", "-inf, 2.0", "1.0, ",
+                                      "1.0\n2.0", "12\n", "12\n\n34", "1.\t\t0", "0xab",
+                                      "1E+16", "ab"])
+    def test_refused(self, text):
+        # a letter other than e, ASCII whitespace other than a space (which
+        # bytes.fromhex skips between two bytes), or a trailing space (the
+        # pad of an odd length)
+        assert scenario.csvblock.pack(text) is None
+
+    @pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf])
+    def test_column_holding_a_special_is_not_kept(self, tmp_path, special):
+        scenario._KEPT.clear()
+        n = 3 * scenario._BLOCK_ROWS
+        col = np.linspace(1.0, 2.0, n)
+        col[scenario._BLOCK_ROWS + 7] = special
+        cols = [col, col * 3.0]
+        _write_csv(tmp_path / "out.csv", "a,b", cols, "test CSV", keep=2)
+        # the block holding the special is kept in neither column
+        assert len(scenario._KEPT) == 4
+        assert (col.dtype.str, col[scenario._BLOCK_ROWS:2 * scenario._BLOCK_ROWS].tobytes()) \
+            not in scenario._KEPT
+        _write_csv(tmp_path / "again.csv", "a,b", cols, "test CSV")
+        assert (tmp_path / "again.csv").read_text() == _reference_csv("a,b", cols)
+        scenario._KEPT.clear()
+
+
 def _kept_bytes():
     return sum(len(key[1]) + len(text) for key, text in scenario._KEPT.items())
 
@@ -446,6 +496,20 @@ class TestKeptBlocks:
                 *(getattr(result.traces[s], q) for q, s in names)]
         assert (tmp_path / "case_study.csv").read_text() == _reference_csv(header, cols)
 
+    def test_value_changed_inside_a_kept_block(self, result, tmp_path):
+        # the first and last values of the block stay: only its whole bytes
+        # tell it from the block that was kept
+        self._emit_traces(result, tmp_path)
+        omega = result.traces["vdic"].omega
+        assert (omega.dtype.str, omega[1024:2048].tobytes()) in scenario._KEPT
+        omega[1536] = omega[1536] * 1.5 + 1e-3
+        emit_case_study_csv(result, tmp_path / "case_study.csv")
+        names = [(q, s) for q in ("omega", "rocof") for s in SUBCASES]
+        header = "t" + "".join(f",{q}_{s}" for q, s in names)
+        cols = [result.traces[SUBCASES[0]].sample_times,
+                *(getattr(result.traces[s], q) for q, s in names)]
+        assert (tmp_path / "case_study.csv").read_text() == _reference_csv(header, cols)
+
     def test_emptied_when_emit_case_study_csv_returns(self, result, tmp_path):
         self._emit_traces(result, tmp_path)
         assert scenario._KEPT
@@ -467,19 +531,22 @@ class TestKeptBlocks:
 
     def test_within_budget_during_bundled_case_study(self, tmp_path, monkeypatch):
         scenario._KEPT.clear()
-        held = []
+        held, blocks = [], []
 
         def write_csv(*args, **kwargs):
             _write_csv(*args, **kwargs)
             held.append(_kept_bytes())
+            blocks.append(len(scenario._KEPT))
             assert held[-1] == scenario._KEPT.nbytes
 
         monkeypatch.setattr(scenario, "_write_csv", write_csv)
         assert run_cli("case-study", "--out", str(tmp_path / "cs")) == 0
         assert len(held) == 5
-        # the bundled traces fill the budget before the fourth trace CSV
+        # the bundled traces fill the budget during the fourth trace CSV
         assert 0.9 * scenario._KEPT_BUDGET < max(held) <= scenario._KEPT_BUDGET
         assert not scenario._KEPT and scenario._KEPT.nbytes == 0
+        # packed, the kept texts leave the merged CSV 459 - 392 blocks to format
+        assert blocks[3] >= 380
 
     def test_estimate_keeps_nothing(self, result, tmp_path):
         emit_trace_csv(result.traces["vdic"], tmp_path / "trace_vdic.csv")
@@ -580,6 +647,46 @@ class TestSpawnedWriter:
         blocks = -(-self.LONG // scenario._BLOCK_ROWS)
         assert len(spawns) == 1 and len(replies) == 1 + (blocks - 1) // 2
         assert _open_fds() == fds
+        _no_child_left()
+
+    @pytest.mark.parametrize("pipe, queued", [(1 << 20, 2), (1 << 16, 1)])
+    def test_blocks_queued(self, tmp_path, spawns, replies, monkeypatch, pipe, queued):
+        # two blocks wait for the process while a request fits in the
+        # requests pipe. In a 64 KiB pipe a request of 16 columns does not:
+        # the writer could block on a second one while the process blocks
+        # on a reply that the writer does not read yet
+        import fcntl
+
+        setsize, spawn, events = fcntl.fcntl, scenario._spawn_formatter, []
+
+        class Requests:
+            def __init__(self, f):
+                self.f = f
+
+            def write(self, data):
+                events.append(1)
+                return self.f.write(data)
+
+            def flush(self):
+                self.f.flush()
+
+            def close(self):
+                self.f.close()
+
+        def spawned():
+            pid, requests, replies_, room = spawn()
+            return pid, Requests(requests), replies_, room
+
+        monkeypatch.setattr(fcntl, "fcntl", lambda fd, cmd, arg: setsize(fd, cmd, pipe))
+        monkeypatch.setattr(scenario, "_spawn_formatter", spawned)
+        receive = scenario.csvblock.receive
+        monkeypatch.setattr(scenario.csvblock, "receive",
+                            lambda f: events.append(-1) or receive(f))
+        test_write_csv_matches_row_loop(tmp_path, self.LONG)
+        blocks = -(-self.LONG // scenario._BLOCK_ROWS)
+        assert len(spawns) == 1 and len(replies) == 1 + (blocks - 1) // 2
+        # the greeting is the first message received
+        assert events[0] == -1 and max(np.cumsum(events[1:])) == queued
         _no_child_left()
 
     def test_in_process_below_break_even(self, tmp_path, spawns):

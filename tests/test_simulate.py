@@ -238,6 +238,18 @@ class TestValidation:
             simulate(model, ImbalanceEvent(-0.3, onset), _Law(law), SimConfig(1e-2, 10.0))
 
 
+    def test_law_negative_between_samples_rejected(self, model, event):
+        # 16 on the 10 ms grid and -1 off it: the samples pass, and the first
+        # substep's midpoint, 5 ms after the onset, is refused
+        def law(e):
+            return np.where(np.abs(e / 0.01 - np.round(e / 0.01)) < 1e-6, 16.0, -1.0)
+
+        assert (law(np.arange(1001) * 0.01) == 16.0).all()
+        with pytest.raises(ValidationError, match=r"_Law\.coefficients is negative "
+                                                  r"\(-1\.0\) at elapsed time 0\.005 s"):
+            simulate(model, event, _Law(law), SimConfig(1e-2, 10.0))
+
+
 class _Law(Controller):
     """A custom controller whose coefficients are whatever law returns."""
 

@@ -116,6 +116,15 @@ def test_tail_rule(seed):
     assert (pieces[:, ulps >= 10] == 2).all()
 
 
+def test_subnormal_band_starts():
+    # below 8 times the smallest normal float, q * t rounds, and t + q * t
+    # no longer rounds as t * (1 + q) does
+    args = (1e-310, 1e-300, 1e-311, 1.0, Q)
+    owner = check(_vdic_plan, vdic_pieces, args, np.array([0.0, 5e-309]),
+                  np.array([1e-307, 1e-306]))
+    assert np.bincount(owner).min() > 20
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_uniform_plan_grid(seed):
     rng = np.random.default_rng(seed)
