@@ -657,6 +657,8 @@ class TestSpawnedWriter:
         # on a reply that the writer does not read yet
         import fcntl
 
+        if not hasattr(fcntl, "F_SETPIPE_SZ"):
+            pytest.skip("the writer sets pipe sizes on Linux only")
         setsize, spawn, events = fcntl.fcntl, scenario._spawn_formatter, []
 
         class Requests:
