@@ -25,6 +25,7 @@ from .errors import ConfigError, SimulationDivergedError, ValidationError
 from .scenario import (
     SUBCASES,
     ScenarioConfig,
+    _controller_for,
     _write_csv,
     default_config_path,
     emit_case_study_csv,
@@ -131,8 +132,7 @@ def _check_provenance(trace, cfg: ScenarioConfig, path: Path) -> None:
     if i_on == t.size or abs(trace.onset_time - t[i_on]) > 1e-9 * dt:
         raise ValidationError(f"{path}: its onset at {trace.onset_time!r} s is not "
                               f"event.onset_time_s {onset!r} of the config")
-    model = (cfg.model.with_added_inertia(cfg.added_inertia)
-             if cfg.subcase == "added_inertia" else cfg.model)
+    model = _controller_for(cfg)[1]
     expected = cfg.event.delta_pf / model.total_inertia
     if abs(t[i_on] - onset) <= 1e-9 * dt and trace.rocof[i_on] != expected:
         raise ValidationError(

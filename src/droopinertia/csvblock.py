@@ -3,10 +3,10 @@
 This module imports nothing but the standard library, so the writer can also
 run it as a formatter process of its own: ``python -I -S csvblock.py``
 starts in 10–15 ms on a 2-vCPU VM, where importing the package and numpy
-takes over 100 ms. That process greets its parent with an empty message,
-then answers each ``(keep, parts)`` message on stdin with
-``format_block(parts, keep)`` on stdout until stdin ends. A message is its
-marshal bytes behind their length as 8 little-endian bytes.
+takes over 100 ms. That process greets its parent with the marshal object
+None, then answers each ``(keep, parts)`` object that marshal.load reads from
+stdin with ``format_block(parts, keep)``, marshal.dump-ed to stdout, until
+stdin ends.
 
 A text kept for a later write is packed two characters a byte (see pack), so
 it takes half the memory, and half the pipe, of its str.
@@ -73,36 +73,17 @@ def format_block(parts: list, keep: int) -> tuple[str, list]:
     return "\n".join(map(",".join, zip(*fields, strict=True))) + "\n", kept
 
 
-def encode(message) -> bytes:
-    """message as it goes down a pipe: its marshal bytes behind their length."""
-    data = marshal.dumps(message)
-    return len(data).to_bytes(8, "little") + data
-
-
-def send(f, message) -> None:
-    f.write(encode(message))
-    f.flush()
-
-
-def receive(f):
-    """The next message on f; EOFError if f ends, also within a message."""
-    head = f.read(8)
-    size = int.from_bytes(head, "little")
-    data = f.read(size) if len(head) == 8 else b""
-    if len(head) < 8 or len(data) < size:
-        raise EOFError
-    return marshal.loads(data)
-
-
 def _serve() -> None:
     with open(0, "rb") as requests, open(1, "wb") as replies:
-        send(replies, None)
+        reply = None  # the greeting
         while True:
+            marshal.dump(reply, replies)
+            replies.flush()
             try:
-                keep, parts = receive(requests)
+                keep, parts = marshal.load(requests)
             except EOFError:
                 return
-            send(replies, format_block(parts, keep))
+            reply = format_block(parts, keep)
 
 
 if __name__ == "__main__":

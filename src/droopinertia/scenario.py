@@ -8,11 +8,13 @@ seconds.
 from __future__ import annotations
 
 import json
+import marshal
 import math
 import os
+import select
 import sys
 import weakref
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from functools import partial
 from importlib import resources
@@ -456,37 +458,30 @@ def _block_parts(cols: list[np.ndarray], lo: int) -> list:
 
 
 def _spawn_formatter():
-    """(pid, requests, replies, room) of a new process that runs csvblock.py,
-    room the bytes that the requests pipe is known to hold (0 where unknown),
-    or None where the host cannot start one, lets this process use one CPU
-    only, or is out of pipes, processes or memory."""
+    """(process, room) of a new subprocess.Popen that runs csvblock.py, room
+    the bytes that its stdin pipe is known to hold (0 where unknown), or None
+    where the host cannot spawn one, lets this process use one CPU only, or is
+    out of pipes, processes or memory. With close_fds=False, Popen starts it
+    with os.posix_spawn, not a fork."""
     affinity = getattr(os, "sched_getaffinity", None)
-    if (not hasattr(os, "posix_spawn") or not sys.executable
-            or not os.path.isfile(csvblock.__file__)
-            or (affinity is not None and len(affinity(0)) < 2)):
+    if not hasattr(os, "posix_spawn") or (affinity is not None and len(affinity(0)) < 2):
         return None
     import fcntl  # POSIX only, as os.posix_spawn is
+    import subprocess
 
-    fds: list[int] = []
     try:
-        fds += os.pipe()
-        fds += os.pipe()
-        pid = os.posix_spawn(sys.executable, [sys.executable, "-I", "-S", csvblock.__file__],
-                             os.environ, file_actions=[(os.POSIX_SPAWN_DUP2, fds[0], 0),
-                                                       (os.POSIX_SPAWN_DUP2, fds[3], 1)])
+        process = subprocess.Popen([sys.executable, "-I", "-S", csvblock.__file__],
+                                   stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                   close_fds=False)
     except OSError:
-        for fd in fds:
-            os.close(fd)
         return None
-    os.close(fds[0])
-    os.close(fds[3])
     rooms = []
-    for fd in fds[1:3]:
+    for pipe in (process.stdin, process.stdout):
         try:  # Linux: a whole request or reply fits, where 64 KiB holds less than one
-            rooms.append(fcntl.fcntl(fd, fcntl.F_SETPIPE_SZ, 1 << 20))
+            rooms.append(fcntl.fcntl(pipe, fcntl.F_SETPIPE_SZ, 1 << 20))
         except (AttributeError, OSError):
             rooms.append(0)
-    return pid, open(fds[1], "wb"), open(fds[2], "rb"), rooms[0]
+    return process, rooms[0]
 
 
 @contextmanager
@@ -507,57 +502,49 @@ def _formatted(cols: list[np.ndarray], keep: int):
     reaps it. The process shares no page with this one, so after it, unlike
     after a fork, this process finds none of its pages write-protected."""
     starts = range(0, len(cols[0]), _BLOCK_ROWS)
-    child = _spawn_formatter() if len(starts) * len(cols) >= _SPAWN_BLOCK_COLUMNS else None
-    if child is None:
-        yield ((lo, csvblock.format_block(_block_parts(cols, lo), keep)) for lo in starts)
-        return
-    import select
-    import signal
+    process, room = (len(starts) * len(cols) >= _SPAWN_BLOCK_COLUMNS
+                     and _spawn_formatter()) or (None, 0)
+    greeted = False if process else None  # None: no process, or one that ended ungreeted
 
-    pid, requests, replies, room = child
-    greeted = False  # None once the process has ended without greeting
-
-    def shared():
+    def blocks():
         nonlocal greeted
         theirs: list[int] = []  # the blocks sent and not yet answered, in order
         for lo in starts:
             reply = None
             try:
                 if theirs and theirs[0] == lo:
-                    reply = csvblock.receive(replies)
+                    reply = marshal.load(process.stdout)
                     del theirs[0]
                 else:
-                    if greeted is False and select.select([replies], [], [], 0)[0]:
+                    if greeted is False and select.select([process.stdout], [], [], 0)[0]:
                         try:
-                            greeted = csvblock.receive(replies) is None
+                            greeted = marshal.load(process.stdout) is None
                         except EOFError:  # it did not start: go on alone
                             greeted = None
                     for ahead in (lo + _BLOCK_ROWS, lo + 3 * _BLOCK_ROWS) if greeted else ():
                         if ahead < len(cols[0]) and (not theirs or ahead > theirs[-1]):
-                            request = csvblock.encode((keep, _block_parts(cols, ahead)))
+                            request = marshal.dumps((keep, _block_parts(cols, ahead)))
                             if theirs and len(request) > room:
                                 break
-                            requests.write(request)
-                            requests.flush()
+                            process.stdin.write(request)
+                            process.stdin.flush()
                             theirs.append(ahead)
             except (EOFError, BrokenPipeError):
                 raise OSError("the formatting process ended early") from None
             yield lo, reply or csvblock.format_block(_block_parts(cols, lo), keep)
 
-    try:
-        yield shared()
-    finally:
-        replies.close()
+    if process is None:
+        yield blocks()
+        return
+    with process:
         try:
-            requests.close()
-        except OSError:  # the unsent rest of a request the process did not take
-            pass
-        try:
+            yield blocks()
+        finally:
+            process.stdout.close()  # first: a process blocked on a reply ends
+            with suppress(OSError):  # the unsent rest of a request the process did not take
+                process.stdin.close()
             if not greeted:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        except (ProcessLookupError, ChildProcessError):  # reaped already: SIGCHLD is ignored
-            pass
+                process.kill()
 
 
 def _write_csv(path: str | Path, header: str, cols: list[np.ndarray], what: str,

@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -591,9 +592,9 @@ def _open_fds():
 
 # a formatter that greets, takes one request and dies
 _DYING_FORMATTER = """
-import marshal, os
-greeting = marshal.dumps(None)
-os.write(1, len(greeting).to_bytes(8, "little") + greeting)
+import marshal, os, sys
+marshal.dump(None, sys.stdout.buffer)
+sys.stdout.flush()
 os.read(0, 8)
 os._exit(1)
 """
@@ -627,13 +628,13 @@ class TestSpawnedWriter:
     @pytest.fixture
     def replies(self, monkeypatch):
         """How many messages, the greeting included, the writer receives."""
-        got, receive = [], scenario.csvblock.receive
+        got, load = [], scenario.marshal.load
 
         def counted(f):
-            got.append(receive(f))
+            got.append(load(f))
             return got[-1]
 
-        monkeypatch.setattr(scenario.csvblock, "receive", counted)
+        monkeypatch.setattr(scenario.marshal, "load", counted)
         return got
 
     # rows of a 16-column write just past the break-even, and of one just short of it
@@ -676,14 +677,14 @@ class TestSpawnedWriter:
                 self.f.close()
 
         def spawned():
-            pid, requests, replies_, room = spawn()
-            return pid, Requests(requests), replies_, room
+            process, room = spawn()
+            process.stdin = Requests(process.stdin)
+            return process, room
 
         monkeypatch.setattr(fcntl, "fcntl", lambda fd, cmd, arg: setsize(fd, cmd, pipe))
         monkeypatch.setattr(scenario, "_spawn_formatter", spawned)
-        receive = scenario.csvblock.receive
-        monkeypatch.setattr(scenario.csvblock, "receive",
-                            lambda f: events.append(-1) or receive(f))
+        load = scenario.marshal.load
+        monkeypatch.setattr(scenario.marshal, "load", lambda f: events.append(-1) or load(f))
         test_write_csv_matches_row_loop(tmp_path, self.LONG)
         blocks = -(-self.LONG // scenario._BLOCK_ROWS)
         assert len(spawns) == 1 and len(replies) == 1 + (blocks - 1) // 2
@@ -825,3 +826,25 @@ class TestSpawnedWriter:
             warnings.simplefilter("always")
             test_write_csv_matches_row_loop(tmp_path, self.LONG)
         assert len(spawns) == 1 and caught == []
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts minor faults of private pages on Linux")
+    def test_spawn_leaves_pages_writable(self, tmp_path, spawns):
+        # a fork write-protects every private page of the writer, and each
+        # page it rewrites after the write then faults once; a spawn leaves
+        # them writable. 4 KiB pages, so that one fault stands for one page
+        import mmap
+        import resource
+
+        pages = mmap.mmap(-1, 8 << 20, flags=mmap.MAP_PRIVATE)
+        pages.madvise(mmap.MADV_NOHUGEPAGE)
+        array = np.frombuffer(pages, np.uint8)
+        array += 1
+        _write_csv(tmp_path / "out.csv", "c", [np.arange(self.LONG) * 0.1] * 16, "test CSV")
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        array += 1
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        del array
+        pages.close()
+        assert faults < 64, f"{faults} minor faults on 2048 pages"
+        assert len(spawns) == 1

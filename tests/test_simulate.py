@@ -21,6 +21,7 @@ from droopinertia import (
     Vdic,
     closed_form_omega_constant_droop,
     closed_form_omega_constant_inertia,
+    estimate_from_trace,
     load_config,
     run_case_study,
     simulate,
@@ -573,6 +574,65 @@ class TestScalingLaws:
         # only the sign of zeros may differ, so values are compared, not bits
         for base, flipped in zip(series[name][1.0], series[name][-1.0], strict=True):
             assert np.array_equal(-base, flipped)
+
+
+def _per_unit_doubled(cfg):
+    """cfg with every power and inertia on a base of half the MVA: each
+    generator's inertia, delta_pf, the governor gain, k, the VDIC schedule,
+    delta_tj and each FFR's cap and optimum doubled."""
+    model, sched = cfg.model, cfg.vdic_schedule
+    return replace(
+        cfg,
+        model=SystemModel(model.system_base,
+                          [replace(g, inertia_constant=2.0 * g.inertia_constant)
+                           for g in model.generators],
+                          [replace(f, droop_upper_bound=2.0 * f.droop_upper_bound,
+                                   droop_optimal=2.0 * f.droop_optimal) for f in model.ffrs]),
+        event=_scaled(cfg.event, 2.0),
+        governor=replace(cfg.governor, droop_gain=2.0 * cfg.governor.droop_gain),
+        k_total=2.0 * cfg.k_total,
+        vdic_schedule=DroopSchedule(2.0 * sched.target_inertia, 2.0 * sched.upper_bound,
+                                    2.0 * sched.lower_bound),
+        added_inertia=2.0 * cfg.added_inertia,
+    )
+
+
+class TestPerUnitBase:
+    """Doubling every power and inertia of the bundled case study is a change
+    of the per-unit base: the swing and governor equations and each droop law
+    scale by two throughout, so frequency keeps its bits and every power
+    doubles bit for bit. delta_pf doubled alone doubles ffr_power, so the
+    estimator's ratio and conditioning keep theirs."""
+
+    @pytest.fixture(scope="class")
+    def cfg(self):
+        return load_config(default_config_path())
+
+    @pytest.fixture(scope="class")
+    def runs(self, cfg):
+        return {f: run_case_study(c).traces for f, c in
+                ((1.0, cfg), (2.0, _per_unit_doubled(cfg)),
+                 ("delta_pf", replace(cfg, event=_scaled(cfg.event, 2.0))))}
+
+    @pytest.mark.parametrize("sub", SUBCASES)
+    def test_frequency_keeps_its_bits(self, runs, sub):
+        base, doubled = runs[1.0][sub], runs[2.0][sub]
+        assert _same_bits(base.omega, doubled.omega)
+        assert _same_bits(base.rocof, doubled.rocof)
+
+    @pytest.mark.parametrize("sub", SUBCASES)
+    def test_powers_double_bit_for_bit(self, runs, sub):
+        base, doubled = runs[1.0][sub], runs[2.0][sub]
+        assert _same_bits(2.0 * base.ffr_power, doubled.ffr_power)
+        assert _same_bits(2.0 * base.per_ffr_power, doubled.per_ffr_power)
+
+    @pytest.mark.parametrize("sub", SUBCASES)
+    def test_estimate_keeps_its_bits_under_doubled_delta_pf(self, cfg, runs, sub):
+        delta_pf, t_j = cfg.event.delta_pf, cfg.model.total_inertia
+        base = estimate_from_trace(runs[1.0][sub], t_j, delta_pf)
+        doubled = estimate_from_trace(runs["delta_pf"][sub], t_j, 2.0 * delta_pf)
+        assert _same_bits(base.delta_tj, doubled.delta_tj)
+        assert np.array_equal(base.valid_mask, doubled.valid_mask) and base.valid_mask.any()
 
 
 class TestUntouchedPaths:
