@@ -4,9 +4,9 @@ This module imports nothing but the standard library, so the writer can also
 run it as a formatter process of its own: ``python -I -S csvblock.py``
 starts in 10–15 ms on a 2-vCPU VM, where importing the package and numpy
 takes over 100 ms. That process greets its parent with the marshal object
-None, then answers each ``(keep, parts)`` object that marshal.load reads from
-stdin with ``format_block(parts, keep)``, marshal.dump-ed to stdout, until
-stdin ends.
+None, then answers each ``(keep, room, parts)`` object that marshal.load reads
+from stdin with ``format_block(parts, keep, room)``, marshal.dump-ed to
+stdout, until stdin ends.
 
 A text kept for a later write is packed two characters a byte (see pack), so
 it takes half the memory, and half the pipe, of its str.
@@ -44,11 +44,13 @@ def unpack(packed: bytes) -> str:
     return text[:-1] if text.endswith(" ") else text
 
 
-def format_block(parts: list, keep: int) -> tuple[str, list]:
+def format_block(parts: list, keep: int, room: int) -> tuple[str, list]:
     """The CSV rows of one block of columns, each value exactly ``repr`` of
     its Python scalar, and the (column, packed text) pairs among the first
     ``keep`` columns that the writer may keep for a later write: those whose
-    text pack accepts.
+    text pack accepts, and whose bytes plus packed text fit in ``room``, the
+    bytes the writer's store could still take when it asked. The store only
+    grows during a write, so it would refuse a text that does not fit.
 
     A part is a column's values as (struct format, native bytes), or, for a
     column an earlier write kept, its packed text. A column that is constant,
@@ -65,7 +67,8 @@ def format_block(parts: list, keep: int) -> tuple[str, list]:
                     formatted[part] = [repr(values[0])] * len(values)
                 else:
                     text = repr(values.tolist())[1:-1]
-                    packed = pack(text) if i < keep else None
+                    fits = i < keep and len(part[1]) + (len(text) + 1) // 2 <= room
+                    packed = pack(text) if fits else None
                     if packed is not None:
                         kept.append((i, packed))
                     formatted[part] = text.split(", ")
@@ -80,10 +83,10 @@ def _serve() -> None:
             marshal.dump(reply, replies)
             replies.flush()
             try:
-                keep, parts = marshal.load(requests)
+                keep, room, parts = marshal.load(requests)
             except EOFError:
                 return
-            reply = format_block(parts, keep)
+            reply = format_block(parts, keep, room)
 
 
 if __name__ == "__main__":

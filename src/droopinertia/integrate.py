@@ -30,6 +30,11 @@ Numerics notes, all load-bearing:
   keeps a built-in's law gets its bits; tests pin the sha256 of the output
   bits. droop_active is the same law over the samples.
 * A non-finite state is reported as the first non-finite output sample.
+* The fleet's split of the law, per_ffr_power, is allocated on its first
+  read, from the trace's own omega and droop_active; simulate checks only
+  that the fleet can carry the law's peak. A caller that summarizes and
+  estimates never pays for it, and one that writes the trace pays the same,
+  later.
 """
 
 from __future__ import annotations
@@ -69,8 +74,10 @@ class Trace:
     the exact ODE right-hand side at each sample state, not a finite
     difference.
 
-    A trace read from CSV may hold omega, droop_active and per_ffr_power
-    deferred: the first access to any of them parses all three.
+    A trace may hold fields deferred, computed together on the first access
+    to one of them: simulate defers per_ffr_power, which it allocates then
+    from omega and droop_active as they are at that access, and
+    read_trace_csv defers omega, droop_active and per_ffr_power.
     """
 
     sample_times: np.ndarray
@@ -88,24 +95,21 @@ class Trace:
 
     @classmethod
     def _lazy(cls, load, **eager) -> Trace:
-        """A trace with the eager fields set and load() -> (omega,
-        droop_active, per_ffr_power) called on first access to one of those."""
+        """A trace with the eager fields set and load() -> {field: value} of
+        the other fields called on first access to one of those."""
         trace = object.__new__(cls)
         trace.__dict__.update(eager, _load=load)
         return trace
 
     def __getattr__(self, name: str):
-        # reached only for an attribute that is not set, so a simulated trace
-        # never comes here
+        # reached only for an attribute that is not set: a deferred field
+        # before its first access, or no field at all
         load = self.__dict__.get("_load")
-        if load is None or name not in _DEFERRED:
+        if load is None or name not in self.__dataclass_fields__:
             raise AttributeError(f"'Trace' object has no attribute {name!r}")
-        self.__dict__.update(zip(_DEFERRED, load()))
-        self.__dict__.pop("_load", None)
+        self.__dict__.update(load())
+        del self.__dict__["_load"]
         return self.__dict__[name]
-
-
-_DEFERRED = ("omega", "droop_active", "per_ffr_power")
 
 
 def _roster_check(model: SystemModel, peak: float) -> None:
@@ -317,34 +321,38 @@ def _assemble_trace(model, event, times, i_first, droop_active, peak, omega,
     rocof = np.zeros_like(omega)
     post = slice(i_first, None)
     rocof[post] = (event.delta_pf + ffr_power[post] + gov_series[post]) / model.total_inertia
-
-    ffrs = model.ffrs
-    if not ffrs or peak <= 0.0:
-        per_ffr_power = np.broadcast_to(0.0, (len(ffrs), times.size))
-    else:
-        # the split of one coefficient does not depend on the sample, so it
-        # is computed once per distinct bit pattern (-0.0 and NaN included)
-        distinct, inverse = np.unique(droop_active.view(np.int64), return_inverse=True)
-        distinct = distinct.view(np.float64)
-        identical = len({(f.regulation_margin, f.droop_upper_bound) for f in ffrs}) == 1
-        rows = 1 if identical else len(ffrs)  # identical FFRs get bit-identical rows
-        per_ffr_coef = np.empty((rows, distinct.size))
-        for lo in range(0, distinct.size, _ALLOCATION_CHUNK):
-            chunk = slice(lo, lo + _ALLOCATION_CHUNK)
-            per_ffr_coef[:, chunk] = _allocate_series(distinct[chunk], ffrs)[:rows]
-        # read-only, and a view of one row for identical FFRs
-        per_ffr_power = np.broadcast_to(per_ffr_coef[:, inverse] * -omega, (len(ffrs), times.size))
-
-    return Trace(
+    # per_ffr_power waits for its first read, which a sweep that summarizes
+    # and estimates never makes
+    return Trace._lazy(
+        partial(_per_ffr_power, model.ffrs, peak, droop_active, omega),
         sample_times=times,
         omega=omega,
         rocof=rocof,
         ffr_power=ffr_power,
         droop_active=droop_active,
-        per_ffr_power=per_ffr_power,
         ffr_ids=tuple(f.id for f in model.ffrs),
         onset_time=event.onset_time,
     )
+
+
+def _per_ffr_power(ffrs, peak, droop_active, omega) -> dict[str, np.ndarray]:
+    """{"per_ffr_power": each FFR's share of -droop_active * omega, a row per
+    FFR of the roster ffrs}, peak the largest value of droop_active."""
+    if not ffrs or peak <= 0.0:
+        return {"per_ffr_power": np.broadcast_to(0.0, (len(ffrs), omega.size))}
+    # the split of one coefficient does not depend on the sample, so it
+    # is computed once per distinct bit pattern (-0.0 and NaN included)
+    distinct, inverse = np.unique(droop_active.view(np.int64), return_inverse=True)
+    distinct = distinct.view(np.float64)
+    identical = len({(f.regulation_margin, f.droop_upper_bound) for f in ffrs}) == 1
+    rows = 1 if identical else len(ffrs)  # identical FFRs get bit-identical rows
+    per_ffr_coef = np.empty((rows, distinct.size))
+    for lo in range(0, distinct.size, _ALLOCATION_CHUNK):
+        chunk = slice(lo, lo + _ALLOCATION_CHUNK)
+        per_ffr_coef[:, chunk] = _allocate_series(distinct[chunk], ffrs)[:rows]
+    # read-only, and a view of one row for identical FFRs
+    return {"per_ffr_power": np.broadcast_to(per_ffr_coef[:, inverse] * -omega,
+                                             (len(ffrs), omega.size))}
 
 
 def _allocate_series(k_total: np.ndarray, ffrs) -> np.ndarray:

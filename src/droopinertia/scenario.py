@@ -486,8 +486,9 @@ def _spawn_formatter():
 
 @contextmanager
 def _formatted(cols: list[np.ndarray], keep: int):
-    """An iterator over (lo, csvblock.format_block(parts, keep)) of each block
-    of cols, in order of its first row lo.
+    """An iterator over (lo, csvblock.format_block(parts, keep, room)) of each
+    block of cols, in order of its first row lo, room the bytes that _KEPT
+    could still take when the block was handed out.
 
     A write of _SPAWN_BLOCK_COLUMNS blocks times columns or more starts a
     formatter process (see _spawn_formatter and csvblock). Until it greets,
@@ -523,7 +524,8 @@ def _formatted(cols: list[np.ndarray], keep: int):
                             greeted = None
                     for ahead in (lo + _BLOCK_ROWS, lo + 3 * _BLOCK_ROWS) if greeted else ():
                         if ahead < len(cols[0]) and (not theirs or ahead > theirs[-1]):
-                            request = marshal.dumps((keep, _block_parts(cols, ahead)))
+                            request = marshal.dumps((keep, _KEPT_BUDGET - _KEPT.nbytes,
+                                                     _block_parts(cols, ahead)))
                             if theirs and len(request) > room:
                                 break
                             process.stdin.write(request)
@@ -531,7 +533,8 @@ def _formatted(cols: list[np.ndarray], keep: int):
                             theirs.append(ahead)
             except (EOFError, BrokenPipeError):
                 raise OSError("the formatting process ended early") from None
-            yield lo, reply or csvblock.format_block(_block_parts(cols, lo), keep)
+            yield lo, reply or csvblock.format_block(_block_parts(cols, lo), keep,
+                                                     _KEPT_BUDGET - _KEPT.nbytes)
 
     if process is None:
         yield blocks()
@@ -691,12 +694,12 @@ def _first_bad_line(path: Path, usecols: tuple[int, ...]) -> int | str:
 
 
 def _read_deferred(path: Path, stamp: tuple[int, int], usecols: tuple[int, ...]):
-    """omega, droop_active and per_ffr_power of a trace file that must not
-    have changed since read_trace_csv read it."""
+    """{field: value} of omega, droop_active and per_ffr_power of a trace
+    file that must not have changed since read_trace_csv read it."""
     data = _parse_columns(path, stamp, usecols)
     per_ffr_power = data[:, 2:].T
     per_ffr_power.flags.writeable = False  # as in a simulated trace
-    return data[:, 0], data[:, 1], per_ffr_power
+    return {"omega": data[:, 0], "droop_active": data[:, 1], "per_ffr_power": per_ffr_power}
 
 
 def emit_case_study_csv(result: CaseStudyResult, path: str | Path) -> None:

@@ -1,6 +1,9 @@
 """Hypothesis properties of Trace.per_ffr_power over random small fleets that
-repeat some (margin, cap) pairs, under the three controllers, governor on
-and off, onset at 0 and later, for 0.5 to 2 s runs.
+repeat some (margin, cap) pairs, under the three controllers and two kinds of
+custom law (piecewise constant with breakpoints off the grid, and
+a * exp(-t / tau) + b), governor on and off, onset at 0 and later, for 0.5 to
+2 s runs. simulate defers per_ffr_power, so each property reads it through
+the deferred path.
 
 The oracle is the margin-weighted fixpoint run at full width, on every
 sample of the coefficient series, which simulate avoids by allocating each
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 
 from droopinertia import (
     ConstantDroop,
+    Controller,
     DroopSchedule,
     FfrSpec,
     GeneratorSpec,
@@ -63,6 +67,36 @@ def oracle_per_ffr_power(trace, ffrs):
     return full_width_allocation(trace.droop_active, ffrs) * (-trace.omega)[None, :]
 
 
+class Piecewise(Controller):
+    """levels[0] up to breaks[0], then levels[j] from breaks[j - 1] on."""
+
+    def __init__(self, breaks, levels):
+        self.breaks, self.levels = np.array(breaks), np.array(levels)
+
+    def coefficients(self, elapsed):
+        return self.levels[np.searchsorted(self.breaks, elapsed, side="right")]
+
+
+class Smooth(Controller):
+    """a * exp(-elapsed / tau) + b."""
+
+    def __init__(self, a, tau, b):
+        self.a, self.tau, self.b = a, tau, b
+
+    def coefficients(self, elapsed):
+        return self.a * np.exp(-elapsed / self.tau) + self.b
+
+
+@st.composite
+def piecewise_laws(draw, peak):
+    """Up to four jumps among levels of 0 to peak, each at an elapsed time
+    between two samples of the 1 ms grid (no further than 2 s)."""
+    steps = draw(st.lists(st.integers(0, 1999), max_size=4, unique=True))
+    breaks = sorted((j + draw(st.floats(0.05, 0.95))) * 1e-3 for j in steps)
+    fractions = st.sampled_from([0.0, 0.2, 0.6, 0.95, 1.0])
+    return Piecewise(breaks, [draw(fractions) * peak for _ in range(len(breaks) + 1)])
+
+
 @st.composite
 def cases(draw):
     """(ffrs, controller, event, sim, governor) of one feasible run."""
@@ -79,12 +113,18 @@ def cases(draw):
             for i, (margin, cap) in enumerate(pairs)]
     room = sum(f.droop_upper_bound for f in ffrs if f.regulation_margin > 0.0)
     peak = draw(st.sampled_from([0.2, 0.6, 0.95, 1.0])) * room
-    kind = draw(st.sampled_from(["no_control", "constant_droop", "vdic"]))
+    kind = draw(st.sampled_from(["no_control", "constant_droop", "vdic", "piecewise",
+                                 "smooth"]))
     if kind == "constant_droop":
         controller = ConstantDroop(peak)
     elif kind == "vdic":
         target = draw(st.floats(1.0, 60.0))
         controller = Vdic(DroopSchedule(target, peak, draw(st.floats(0.05, 0.5)) * peak))
+    elif kind == "piecewise":
+        controller = draw(piecewise_laws(peak))
+    elif kind == "smooth":
+        b = draw(st.floats(0.0, 0.5)) * peak
+        controller = Smooth(draw(st.floats(0.0, 1.0)) * (peak - b), draw(st.floats(0.01, 2.0)), b)
     else:
         controller = NoControl()
     duration = draw(st.sampled_from([0.5, 1.0, 2.0]))

@@ -549,6 +549,23 @@ class TestKeptBlocks:
         # packed, the kept texts leave the merged CSV 459 - 392 blocks to format
         assert blocks[3] >= 380
 
+    def test_few_offers_refused_during_bundled_case_study(self, tmp_path, monkeypatch):
+        # a text that cannot fit the room the store had when its block was
+        # formatted is neither packed nor offered. The one refused fits on
+        # its own, but not after an earlier column of its block
+        monkeypatch.delattr(os, "posix_spawn", raising=False)  # the one-process schedule
+        scenario._KEPT.clear()
+        offers, keep = [], scenario._Kept.keep
+
+        def counted(self, key, packed, source):
+            held = len(self)
+            keep(self, key, packed, source)
+            offers.append(len(self) > held)
+
+        monkeypatch.setattr(scenario._Kept, "keep", counted)
+        assert run_cli("case-study", "--out", str(tmp_path / "cs")) == 0
+        assert offers.count(True) == 392 and offers.count(False) == 1
+
     def test_estimate_keeps_nothing(self, result, tmp_path):
         emit_trace_csv(result.traces["vdic"], tmp_path / "trace_vdic.csv")
         scenario._KEPT.clear()
@@ -806,11 +823,11 @@ class TestSpawnedWriter:
         # process, and the writer reaps it
         calls, format_block = [], scenario.csvblock.format_block
 
-        def failing(parts, keep):
+        def failing(*args):
             calls.append(None)
             if len(calls) > 4:
                 raise MemoryError("writer failed")
-            return format_block(parts, keep)
+            return format_block(*args)
 
         monkeypatch.setattr(scenario.csvblock, "format_block", failing)
         cols = [np.arange(self.LONG) * 0.1 for _ in range(16)]

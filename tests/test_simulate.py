@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from droopinertia import (
     load_config,
     run_case_study,
     simulate,
+    summarize,
 )
 from droopinertia import integrate
 from droopinertia.scenario import SUBCASES, default_config_path
@@ -673,3 +675,62 @@ class TestUntouchedPaths:
     def test_inexact_breakpoint_does_not_round_trip(self, sched):
         # the golden vdic_inexact cases rely on this
         assert sched.target_inertia / sched.floor_start < sched.lower_bound
+
+
+def _deferred_run(kind: str, n: int):
+    """(trace, model) of a 2 s run of a fleet of n FFRs of distinct margins
+    and caps, governor on, under constant droop or VDIC at 80 % of the fleet's
+    caps."""
+    model = make_model([FfrSpec(f"f{i}", 8.0 + i, 2.0, 0.1 + 0.05 * i) for i in range(n)])
+    room = sum(f.droop_upper_bound for f in model.ffrs)
+    controller = (ConstantDroop(0.8 * room) if kind == "constant_droop"
+                  else Vdic(DroopSchedule(40.0, 0.8 * room, 0.2 * room)))
+    trace = simulate(model, ImbalanceEvent(-0.3, 0.5), controller, SimConfig(1e-3, 2.0),
+                     governor=GOVERNOR)
+    return trace, model
+
+
+_COPIES = {
+    "replace": replace,
+    "eq": lambda trace: trace if trace == trace else None,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda trace: pickle.loads(pickle.dumps(trace)),
+}
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+@pytest.mark.parametrize("kind", ["constant_droop", "vdic"])
+class TestDeferredAllocation:
+    """simulate allocates per_ffr_power on its first read, once; a sweep's
+    simulate, summarize and estimate_from_trace never read it."""
+
+    @pytest.fixture
+    def allocations(self, monkeypatch):
+        calls, allocate = [], integrate._allocate_series
+
+        def counted(*args):
+            calls.append(None)
+            return allocate(*args)
+
+        monkeypatch.setattr(integrate, "_allocate_series", counted)
+        return calls
+
+    def test_allocated_on_first_read_only(self, allocations, kind, n):
+        trace, model = _deferred_run(kind, n)
+        summarize(trace)
+        estimate_from_trace(trace, model.total_inertia, -0.3)
+        assert len(allocations) == 0
+        rows = trace.per_ffr_power
+        assert len(allocations) == 1  # 2001 samples: one chunk of distinct coefficients
+        assert trace.per_ffr_power is rows and len(allocations) == 1
+        assert rows.shape == (n, 2001) and rows.any()
+
+    @pytest.mark.parametrize("copied", list(_COPIES.values()), ids=list(_COPIES))
+    def test_unread_trace_copies_allocate_the_same_bits(self, kind, n, copied):
+        expected = np.asarray(_deferred_run(kind, n)[0].per_ffr_power)
+        trace = _deferred_run(kind, n)[0]
+        assert "per_ffr_power" not in vars(trace)
+        other = copied(trace)
+        assert not other.per_ffr_power.flags.writeable
+        assert _same_bits(np.asarray(other.per_ffr_power), expected)
+        assert _same_bits(np.asarray(trace.per_ffr_power), expected)
