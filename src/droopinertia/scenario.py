@@ -8,13 +8,8 @@ seconds.
 from __future__ import annotations
 
 import json
-import marshal
 import math
 import os
-import select
-import sys
-import weakref
-from contextlib import contextmanager, suppress
 from dataclasses import dataclass, replace
 from functools import partial
 from importlib import resources
@@ -390,184 +385,18 @@ def _ordering_report(config: ScenarioConfig, traces: dict[str, Trace],
 
 TRACE_COLUMNS = ("t", "omega", "rocof", "ffr_power", "droop_active")
 
-_BLOCK_ROWS = 1024  # caps the formatted strings held at once, and so peak memory
-
-#: fewest blocks times columns for which _write_csv starts a formatter
-#: process; below it the start-up, the pipes and the reaping cost about what
-#: the second CPU saves
-_SPAWN_BLOCK_COLUMNS = 256
-
-#: bytes of key plus packed text that _KEPT may hold
-_KEPT_BUDGET = 7 << 20
+_CHUNK_ROWS = 2048  # rows formatted at once; caps the formatter's arrays, and so peak memory
 
 
-class _Kept(dict):
-    """Formatted blocks kept across writes as their text packed two
-    characters a byte (csvblock.pack), keyed by a column slice's dtype string
-    and bytes, with the bytes of key plus packed text they hold."""
-
-    nbytes = 0
-
-    def __init__(self):
-        super().__init__()
-        self._finalizers: dict[tuple[str, bytes], weakref.finalize] = {}
-
-    def keep(self, key: tuple[str, bytes], packed: bytes, source: np.ndarray) -> None:
-        """Keep packed under key if it is not kept yet and the budget has
-        room, and only while the array it was formatted from lives, so that
-        a process that writes traces and no case study does not hold their
-        text."""
-        size = len(key[1]) + len(packed)
-        if key not in self and self.nbytes + size <= _KEPT_BUDGET:
-            self[key] = packed
-            self.nbytes += size
-            self._finalizers[key] = weakref.finalize(source, self.drop, key)
-
-    def drop(self, key: tuple[str, bytes]) -> None:
-        packed = self.pop(key, None)
-        if packed is not None:
-            self.nbytes -= len(key[1]) + len(packed)
-            del self._finalizers[key]
-
-    def clear(self) -> None:
-        """Empty the store and detach its finalizers, so that freeing the
-        arrays later runs none of them."""
-        super().clear()
-        self.nbytes = 0
-        for finalizer in self._finalizers.values():
-            finalizer.detach()
-        self._finalizers.clear()
-
-
-# the trace CSVs keep their t, omega and rocof blocks here, and the merged
-# case-study CSV, which repeats those columns, finds them;
-# emit_case_study_csv empties it
-_KEPT = _Kept()
-
-
-def _block_parts(cols: list[np.ndarray], lo: int) -> list:
-    """The parts of csvblock.format_block for the block of cols that starts
-    at row lo: a column slice that _KEPT holds as its packed text, any other
-    as its struct format and bytes."""
-    parts = []
-    for c in cols:
-        part = c[lo : lo + _BLOCK_ROWS]
-        data = part.tobytes()
-        parts.append(_KEPT.get((part.dtype.str, data)) or (part.dtype.char, data))
-    return parts
-
-
-def _spawn_formatter():
-    """(process, room) of a new subprocess.Popen that runs csvblock.py, room
-    the bytes that its stdin pipe is known to hold (0 where unknown), or None
-    where the host cannot spawn one, lets this process use one CPU only, or is
-    out of pipes, processes or memory. With close_fds=False, Popen starts it
-    with os.posix_spawn, not a fork."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    if not hasattr(os, "posix_spawn") or (affinity is not None and len(affinity(0)) < 2):
-        return None
-    import fcntl  # POSIX only, as os.posix_spawn is
-    import subprocess
-
-    try:
-        process = subprocess.Popen([sys.executable, "-I", "-S", csvblock.__file__],
-                                   stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                                   close_fds=False)
-    except OSError:
-        return None
-    rooms = []
-    for pipe in (process.stdin, process.stdout):
-        try:  # Linux: a whole request or reply fits, where 64 KiB holds less than one
-            rooms.append(fcntl.fcntl(pipe, fcntl.F_SETPIPE_SZ, 1 << 20))
-        except (AttributeError, OSError):
-            rooms.append(0)
-    return process, rooms[0]
-
-
-@contextmanager
-def _formatted(cols: list[np.ndarray], keep: int):
-    """An iterator over (lo, csvblock.format_block(parts, keep, room)) of each
-    block of cols, in order of its first row lo, room the bytes that _KEPT
-    could still take when the block was handed out.
-
-    A write of _SPAWN_BLOCK_COLUMNS blocks times columns or more starts a
-    formatter process (see _spawn_formatter and csvblock). Until it greets,
-    this process formats every block; from then on it hands the process
-    every other block, and keeps two of them queued: before it formats a
-    block, it sends the process the next block and the one after the next
-    but one, unless sent already. So the process finds its next block
-    waiting when it finishes one. The second is sent only while a request
-    fits in the requests pipe, so that neither process can block writing to
-    the other while that one blocks writing too. Leaving the context closes
-    both pipes, which ends the process, kills it if it has not greeted, and
-    reaps it. The process shares no page with this one, so after it, unlike
-    after a fork, this process finds none of its pages write-protected."""
-    starts = range(0, len(cols[0]), _BLOCK_ROWS)
-    process, room = (len(starts) * len(cols) >= _SPAWN_BLOCK_COLUMNS
-                     and _spawn_formatter()) or (None, 0)
-    greeted = False if process else None  # None: no process, or one that ended ungreeted
-
-    def blocks():
-        nonlocal greeted
-        theirs: list[int] = []  # the blocks sent and not yet answered, in order
-        for lo in starts:
-            reply = None
-            try:
-                if theirs and theirs[0] == lo:
-                    reply = marshal.load(process.stdout)
-                    del theirs[0]
-                else:
-                    if greeted is False and select.select([process.stdout], [], [], 0)[0]:
-                        try:
-                            greeted = marshal.load(process.stdout) is None
-                        except EOFError:  # it did not start: go on alone
-                            greeted = None
-                    for ahead in (lo + _BLOCK_ROWS, lo + 3 * _BLOCK_ROWS) if greeted else ():
-                        if ahead < len(cols[0]) and (not theirs or ahead > theirs[-1]):
-                            request = marshal.dumps((keep, _KEPT_BUDGET - _KEPT.nbytes,
-                                                     _block_parts(cols, ahead)))
-                            if theirs and len(request) > room:
-                                break
-                            process.stdin.write(request)
-                            process.stdin.flush()
-                            theirs.append(ahead)
-            except (EOFError, BrokenPipeError):
-                raise OSError("the formatting process ended early") from None
-            yield lo, reply or csvblock.format_block(_block_parts(cols, lo), keep,
-                                                     _KEPT_BUDGET - _KEPT.nbytes)
-
-    if process is None:
-        yield blocks()
-        return
-    with process:
-        try:
-            yield blocks()
-        finally:
-            process.stdout.close()  # first: a process blocked on a reply ends
-            with suppress(OSError):  # the unsent rest of a request the process did not take
-                process.stdin.close()
-            if not greeted:
-                process.kill()
-
-
-def _write_csv(path: str | Path, header: str, cols: list[np.ndarray], what: str,
-               keep: int = 0) -> None:
+def _write_csv(path: str | Path, header: str, cols: list[np.ndarray], what: str) -> None:
     """Write equal-length columns of native numbers under a header, each value
-    as exactly ``repr`` of its Python scalar. Rows go out in blocks of
-    _BLOCK_ROWS, each formatted by csvblock.format_block, in this process or,
-    for a long write, in two (see _formatted); the bytes are the same either
-    way. The non-constant blocks of the first ``keep`` columns are kept in
-    _KEPT in block order, while _KEPT_BUDGET allows, and a block another write
-    kept is not formatted again. The file is opened before any process
-    starts."""
+    as exactly ``repr`` of its Python scalar, formatted _CHUNK_ROWS rows at a
+    time by csvblock.format_block."""
     try:
-        with open(path, "w", newline="") as f, _formatted(cols, keep) as blocks:
-            f.write(header + "\n")
-            for lo, (rows, kept) in blocks:
-                f.write(rows)
-                for i, text in kept:
-                    part = cols[i][lo : lo + _BLOCK_ROWS]
-                    _KEPT.keep((part.dtype.str, part.tobytes()), text, cols[i])
+        with open(path, "wb") as f:
+            f.write(header.encode() + b"\n")
+            for lo in range(0, len(cols[0]), _CHUNK_ROWS):
+                f.write(csvblock.format_block([c[lo:lo + _CHUNK_ROWS] for c in cols]))
     except OSError as exc:
         raise OSError(f"cannot write {what} to {path}: {exc}") from exc
 
@@ -581,7 +410,7 @@ def emit_trace_csv(trace: Trace, path: str | Path) -> None:
     header = ",".join(TRACE_COLUMNS) + "".join(f",p_{i}" for i in trace.ffr_ids)
     cols = [trace.sample_times, trace.omega, trace.rocof, trace.ffr_power,
             trace.droop_active, *trace.per_ffr_power]
-    _write_csv(path, header, [np.asarray(c, float) for c in cols], "trace CSV", keep=3)
+    _write_csv(path, header, [np.asarray(c, float) for c in cols], "trace CSV")
 
 
 _EAGER_COLUMNS = (0, 2, 3)  # t, rocof, ffr_power: all that estimate_from_trace reads
@@ -704,15 +533,11 @@ def _read_deferred(path: Path, stamp: tuple[int, int], usecols: tuple[int, ...])
 
 def emit_case_study_csv(result: CaseStudyResult, path: str | Path) -> None:
     """Merged four-subcase CSV keyed by time: omega and rocof per subcase,
-    each value exactly ``repr`` of its float, by the trace CSVs' writer. It
-    reuses the blocks that emit_trace_csv kept, and empties that store."""
-    try:
-        t = result.traces[SUBCASES[0]].sample_times
-        if not all(np.array_equal(result.traces[s].sample_times, t) for s in SUBCASES):
-            raise ValidationError("case-study traces are not on a common time grid")
-        names = [(q, s) for q in ("omega", "rocof") for s in SUBCASES]
-        header = "t" + "".join(f",{q}_{s}" for q, s in names)
-        cols = [t, *(getattr(result.traces[s], q) for q, s in names)]
-        _write_csv(path, header, [np.asarray(c, float) for c in cols], "case-study CSV")
-    finally:
-        _KEPT.clear()
+    each value exactly ``repr`` of its float, by the trace CSVs' writer."""
+    t = result.traces[SUBCASES[0]].sample_times
+    if not all(np.array_equal(result.traces[s].sample_times, t) for s in SUBCASES):
+        raise ValidationError("case-study traces are not on a common time grid")
+    names = [(q, s) for q in ("omega", "rocof") for s in SUBCASES]
+    header = "t" + "".join(f",{q}_{s}" for q, s in names)
+    cols = [t, *(getattr(result.traces[s], q) for q, s in names)]
+    _write_csv(path, header, [np.asarray(c, float) for c in cols], "case-study CSV")

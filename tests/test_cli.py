@@ -3,7 +3,6 @@ import hashlib
 import json
 import os
 import re
-import sys
 import warnings
 
 import numpy as np
@@ -13,11 +12,9 @@ from dataclasses import replace
 
 from droopinertia import cli, scenario
 from droopinertia.scenario import (
-    SUBCASES,
     _write_csv,
     default_config_path,
     emit_case_study_csv,
-    emit_trace_csv,
     load_config,
     run_case_study,
 )
@@ -189,6 +186,24 @@ class TestDesignScheduleCommand:
         assert payload["floor_start_s"] == 1.25
         assert payload["upper_bound_pu"] == 128.0
         assert payload["lower_bound_pu"] == 32.0
+
+    def test_stdout_on_bundled_scenario(self, capsys):
+        # the whole output, byte for byte, so that a change to it is seen
+        assert run_cli("design-schedule") == 0
+        assert capsys.readouterr().out == (
+            "{\n"
+            '  "target_inertia_s": 40.0,\n'
+            '  "upper_bound_pu": 128.0,\n'
+            '  "lower_bound_pu": 32.0,\n'
+            '  "saturation_end_s": 0.3125,\n'
+            '  "floor_start_s": 1.25,\n'
+            '  "segments": [\n'
+            '    "k = 128 for t <= 0.3125 s",\n'
+            '    "k = 40/t for 0.3125 s < t < 1.25 s",\n'
+            '    "k = 32 for t >= 1.25 s"\n'
+            "  ]\n"
+            "}\n"
+        )
 
 
 class TestEstimateCommand:
@@ -415,453 +430,55 @@ class TestUnwritableOutput:
         assert err.startswith("error: cannot write ") and str(out / name) in err
 
 
-class TestPackedText:
-    """csvblock.pack stores a formatted text two characters a byte, and
-    unpack gives the text back; a text pack cannot store is not kept."""
-
-    ALPHABET = "0123456789.-e+, "
-
-    @pytest.mark.parametrize("size", [0, 1, 2, 15, 16, 17, 1023, 1024])
-    def test_round_trip(self, size):
-        rng = np.random.default_rng(size)
-        texts = [self.ALPHABET[:size], "".join(rng.choice(list(self.ALPHABET), size=size)),
-                 *(c * size for c in self.ALPHABET)]
-        for text in texts:
-            text = text.rstrip(" ")
-            packed = scenario.csvblock.pack(text)
-            assert len(packed) == (len(text) + 1) // 2
-            assert scenario.csvblock.unpack(packed) == text
-
-    def test_specials_round_trip(self):
-        numbers = [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, -5e-324, 0.1]
-        text = repr(numbers)[1:-1]
-        assert "1e+16" in text and "1.7976931348623157e+308" in text and "1e-05" in text
-        for part in (text, *text.split(", ")):
-            assert scenario.csvblock.unpack(scenario.csvblock.pack(part)) == part
-
-    @pytest.mark.parametrize("text", ["nan", "1.0, nan", "inf", "-inf, 2.0", "1.0, ",
-                                      "1.0\n2.0", "12\n", "12\n\n34", "1.\t\t0", "0xab",
-                                      "1E+16", "ab"])
-    def test_refused(self, text):
-        # a letter other than e, ASCII whitespace other than a space (which
-        # bytes.fromhex skips between two bytes), or a trailing space (the
-        # pad of an odd length)
-        assert scenario.csvblock.pack(text) is None
-
-    @pytest.mark.parametrize("special", [np.nan, np.inf, -np.inf])
-    def test_column_holding_a_special_is_not_kept(self, tmp_path, special):
-        scenario._KEPT.clear()
-        n = 3 * scenario._BLOCK_ROWS
-        col = np.linspace(1.0, 2.0, n)
-        col[scenario._BLOCK_ROWS + 7] = special
-        cols = [col, col * 3.0]
-        _write_csv(tmp_path / "out.csv", "a,b", cols, "test CSV", keep=2)
-        # the block holding the special is kept in neither column
-        assert len(scenario._KEPT) == 4
-        assert (col.dtype.str, col[scenario._BLOCK_ROWS:2 * scenario._BLOCK_ROWS].tobytes()) \
-            not in scenario._KEPT
-        _write_csv(tmp_path / "again.csv", "a,b", cols, "test CSV")
-        assert (tmp_path / "again.csv").read_text() == _reference_csv("a,b", cols)
-        scenario._KEPT.clear()
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("chunks", [1, 2])
+def test_write_csv_matches_row_loop_across_chunks(tmp_path, chunks, offset):
+    # the writer formats _CHUNK_ROWS rows at a time: n = chunk - 1, chunk,
+    # chunk + 1, 2 * chunk - 1, 2 * chunk and 2 * chunk + 1
+    test_write_csv_matches_row_loop(tmp_path, chunks * scenario._CHUNK_ROWS + offset)
 
 
-def _kept_bytes():
-    return sum(len(key[1]) + len(text) for key, text in scenario._KEPT.items())
+class TestWriter:
+    """The one CSV writer formats in the calling process and raises no
+    warning; a write that fails names its path and leaves no file open."""
 
+    def test_writes_without_warnings(self, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            test_write_csv_matches_row_loop(tmp_path, 2 * scenario._CHUNK_ROWS + 517)
+        assert caught == []
 
-class TestKeptBlocks:
-    """The t, omega and rocof blocks that emit_trace_csv formats are kept for
-    the merged CSV, within the budget, until emit_case_study_csv returns."""
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_names_the_path(self):
+        # every write to /dev/full fails with ENOSPC
+        with pytest.raises(OSError, match=re.escape("cannot write test CSV to /dev/full: ")):
+            _write_csv("/dev/full", "c", [np.arange(3 * scenario._CHUNK_ROWS) * 0.1],
+                       "test CSV")
 
-    @pytest.fixture
-    def result(self):
+    def test_failed_formatting_closes_the_file(self, tmp_path, monkeypatch):
+        # an unclosed file would raise ResourceWarning, an error under the
+        # project's warning filter
+        calls, format_block = [], scenario.csvblock.format_block
+
+        def failing(cols):
+            calls.append(None)
+            if len(calls) > 2:
+                raise MemoryError("formatting failed")
+            return format_block(cols)
+
+        monkeypatch.setattr(scenario.csvblock, "format_block", failing)
+        with pytest.raises(MemoryError, match="formatting failed"):
+            _write_csv(tmp_path / "out.csv", "c", [np.arange(4 * scenario._CHUNK_ROWS) * 0.1],
+                       "test CSV")
+        gc.collect()
+        assert len(calls) == 3
+
+    def test_case_study_needs_a_common_grid(self, tmp_path):
         cfg = load_config(default_config_path())
-        scenario._KEPT.clear()
-        return run_case_study(replace(cfg, sim=replace(cfg.sim, time_step=0.01,
-                                                       duration=20.0)))
-
-    def _emit_traces(self, result, out):
-        for sub in SUBCASES:
-            emit_trace_csv(result.traces[sub], out / f"trace_{sub}.csv")
-
-    def test_keyed_by_content_not_by_object(self, result, tmp_path):
-        self._emit_traces(result, tmp_path)
-        omega = result.traces["vdic"].omega
-        stale = (omega.dtype.str, omega[1024:2048].tobytes())
-        assert stale in scenario._KEPT
-        omega[1024:] = omega[1024:] * 1.5 + 1e-3  # the same array, new values
-        emit_case_study_csv(result, tmp_path / "case_study.csv")
-        names = [(q, s) for q in ("omega", "rocof") for s in SUBCASES]
-        header = "t" + "".join(f",{q}_{s}" for q, s in names)
-        cols = [result.traces[SUBCASES[0]].sample_times,
-                *(getattr(result.traces[s], q) for q, s in names)]
-        assert (tmp_path / "case_study.csv").read_text() == _reference_csv(header, cols)
-
-    def test_value_changed_inside_a_kept_block(self, result, tmp_path):
-        # the first and last values of the block stay: only its whole bytes
-        # tell it from the block that was kept
-        self._emit_traces(result, tmp_path)
-        omega = result.traces["vdic"].omega
-        assert (omega.dtype.str, omega[1024:2048].tobytes()) in scenario._KEPT
-        omega[1536] = omega[1536] * 1.5 + 1e-3
-        emit_case_study_csv(result, tmp_path / "case_study.csv")
-        names = [(q, s) for q in ("omega", "rocof") for s in SUBCASES]
-        header = "t" + "".join(f",{q}_{s}" for q, s in names)
-        cols = [result.traces[SUBCASES[0]].sample_times,
-                *(getattr(result.traces[s], q) for q, s in names)]
-        assert (tmp_path / "case_study.csv").read_text() == _reference_csv(header, cols)
-
-    def test_emptied_when_emit_case_study_csv_returns(self, result, tmp_path):
-        self._emit_traces(result, tmp_path)
-        assert scenario._KEPT
-        emit_case_study_csv(result, tmp_path / "case_study.csv")
-        assert not scenario._KEPT and scenario._KEPT.nbytes == 0
-
-    def test_emptied_when_emit_case_study_csv_raises(self, result, tmp_path):
-        self._emit_traces(result, tmp_path)
-        (tmp_path / "taken").mkdir()
-        with pytest.raises(OSError):
-            emit_case_study_csv(result, tmp_path / "taken")
-        assert not scenario._KEPT and scenario._KEPT.nbytes == 0
-        self._emit_traces(result, tmp_path)
+        result = run_case_study(replace(cfg, sim=replace(cfg.sim, time_step=0.01,
+                                                         duration=20.0)))
         traces = dict(result.traces)
         traces["vdic"] = replace(traces["vdic"], sample_times=traces["vdic"].sample_times + 1.0)
         with pytest.raises(ValueError, match="common time grid"):
             emit_case_study_csv(replace(result, traces=traces), tmp_path / "case_study.csv")
-        assert not scenario._KEPT and scenario._KEPT.nbytes == 0
-
-    def test_within_budget_during_bundled_case_study(self, tmp_path, monkeypatch):
-        scenario._KEPT.clear()
-        held, blocks = [], []
-
-        def write_csv(*args, **kwargs):
-            _write_csv(*args, **kwargs)
-            held.append(_kept_bytes())
-            blocks.append(len(scenario._KEPT))
-            assert held[-1] == scenario._KEPT.nbytes
-
-        monkeypatch.setattr(scenario, "_write_csv", write_csv)
-        assert run_cli("case-study", "--out", str(tmp_path / "cs")) == 0
-        assert len(held) == 5
-        # the bundled traces fill the budget during the fourth trace CSV
-        assert 0.9 * scenario._KEPT_BUDGET < max(held) <= scenario._KEPT_BUDGET
-        assert not scenario._KEPT and scenario._KEPT.nbytes == 0
-        # packed, the kept texts leave the merged CSV 459 - 392 blocks to format
-        assert blocks[3] >= 380
-
-    def test_few_offers_refused_during_bundled_case_study(self, tmp_path, monkeypatch):
-        # a text that cannot fit the room the store had when its block was
-        # formatted is neither packed nor offered. The one refused fits on
-        # its own, but not after an earlier column of its block
-        monkeypatch.delattr(os, "posix_spawn", raising=False)  # the one-process schedule
-        scenario._KEPT.clear()
-        offers, keep = [], scenario._Kept.keep
-
-        def counted(self, key, packed, source):
-            held = len(self)
-            keep(self, key, packed, source)
-            offers.append(len(self) > held)
-
-        monkeypatch.setattr(scenario._Kept, "keep", counted)
-        assert run_cli("case-study", "--out", str(tmp_path / "cs")) == 0
-        assert offers.count(True) == 392 and offers.count(False) == 1
-
-    def test_estimate_keeps_nothing(self, result, tmp_path):
-        emit_trace_csv(result.traces["vdic"], tmp_path / "trace_vdic.csv")
-        scenario._KEPT.clear()
-        assert run_cli("estimate", str(tmp_path / "trace_vdic.csv"), "--out", str(tmp_path),
-                       "--dt", "0.01", "--duration", "20") == 0
-        assert not scenario._KEPT and scenario._KEPT.nbytes == 0
-
-    def test_dropped_with_the_trace(self, tmp_path):
-        scenario._KEPT.clear()
-        cfg = load_config(default_config_path())
-        trace, _ = cli.run_subcase(replace(cfg, sim=replace(cfg.sim, time_step=0.01,
-                                                            duration=20.0)))
-        emit_trace_csv(trace, tmp_path / "trace.csv")
-        assert scenario._KEPT
-        del trace
-        gc.collect()
-        assert not scenario._KEPT and scenario._KEPT.nbytes == 0
-
-
-def test_emptied_store_leaves_no_finalizer(tmp_path):
-    # freeing a case study's traces ran one dead finalizer per kept block
-    cfg = load_config(default_config_path())
-    scenario._KEPT.clear()
-    result = run_case_study(replace(cfg, sim=replace(cfg.sim, time_step=0.01, duration=20.0)))
-    for sub in SUBCASES:
-        emit_trace_csv(result.traces[sub], tmp_path / f"trace_{sub}.csv")
-    finalizers = list(scenario._KEPT._finalizers.values())
-    assert len(finalizers) == len(scenario._KEPT) and all(f.alive for f in finalizers)
-    emit_case_study_csv(result, tmp_path / "case_study.csv")
-    assert not scenario._KEPT._finalizers and not any(f.alive for f in finalizers)
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _open_fds():
-    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
-
-
-# a formatter that greets, takes one request and dies
-_DYING_FORMATTER = """
-import marshal, os, sys
-marshal.dump(None, sys.stdout.buffer)
-sys.stdout.flush()
-os.read(0, 8)
-os._exit(1)
-"""
-
-
-class TestSpawnedWriter:
-    """A write of _SPAWN_BLOCK_COLUMNS blocks times columns or more formats
-    them in two processes, with the bytes and the kept set of the in-process
-    schedule, and leaves no process and no file descriptor behind."""
-
-    @pytest.fixture
-    def spawns(self, monkeypatch):
-        """The pids the writer starts, with two CPUs whatever the host has;
-        the writer waits for each process's greeting, so that the process
-        formats its share of the blocks however slowly it starts."""
-        if not hasattr(os, "posix_spawn"):
-            pytest.skip("no os.posix_spawn on this platform")
-        import select
-
-        pids, spawn, poll = [], os.posix_spawn, select.select
-
-        def counted(*args, **kwargs):
-            pids.append(spawn(*args, **kwargs))
-            return pids[-1]
-
-        monkeypatch.setattr(os, "posix_spawn", counted)
-        monkeypatch.setattr(select, "select", lambda r, w, x, timeout: poll(r, w, x))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        return pids
-
-    @pytest.fixture
-    def replies(self, monkeypatch):
-        """How many messages, the greeting included, the writer receives."""
-        got, load = [], scenario.marshal.load
-
-        def counted(f):
-            got.append(load(f))
-            return got[-1]
-
-        monkeypatch.setattr(scenario.marshal, "load", counted)
-        return got
-
-    # rows of a 16-column write just past the break-even, and of one just short of it
-    LONG = -(-scenario._SPAWN_BLOCK_COLUMNS // 16) * scenario._BLOCK_ROWS + 517
-    SHORT = (scenario._SPAWN_BLOCK_COLUMNS // 16 - 1) * scenario._BLOCK_ROWS
-
-    def test_matches_row_loop(self, tmp_path, spawns, replies):
-        fds = _open_fds()
-        test_write_csv_matches_row_loop(tmp_path, self.LONG)
-        # the greeting, then every other block from the second one on
-        blocks = -(-self.LONG // scenario._BLOCK_ROWS)
-        assert len(spawns) == 1 and len(replies) == 1 + (blocks - 1) // 2
-        assert _open_fds() == fds
-        _no_child_left()
-
-    @pytest.mark.parametrize("pipe, queued", [(1 << 20, 2), (1 << 16, 1)])
-    def test_blocks_queued(self, tmp_path, spawns, replies, monkeypatch, pipe, queued):
-        # two blocks wait for the process while a request fits in the
-        # requests pipe. In a 64 KiB pipe a request of 16 columns does not:
-        # the writer could block on a second one while the process blocks
-        # on a reply that the writer does not read yet
-        import fcntl
-
-        if not hasattr(fcntl, "F_SETPIPE_SZ"):
-            pytest.skip("the writer sets pipe sizes on Linux only")
-        setsize, spawn, events = fcntl.fcntl, scenario._spawn_formatter, []
-
-        class Requests:
-            def __init__(self, f):
-                self.f = f
-
-            def write(self, data):
-                events.append(1)
-                return self.f.write(data)
-
-            def flush(self):
-                self.f.flush()
-
-            def close(self):
-                self.f.close()
-
-        def spawned():
-            process, room = spawn()
-            process.stdin = Requests(process.stdin)
-            return process, room
-
-        monkeypatch.setattr(fcntl, "fcntl", lambda fd, cmd, arg: setsize(fd, cmd, pipe))
-        monkeypatch.setattr(scenario, "_spawn_formatter", spawned)
-        load = scenario.marshal.load
-        monkeypatch.setattr(scenario.marshal, "load", lambda f: events.append(-1) or load(f))
-        test_write_csv_matches_row_loop(tmp_path, self.LONG)
-        blocks = -(-self.LONG // scenario._BLOCK_ROWS)
-        assert len(spawns) == 1 and len(replies) == 1 + (blocks - 1) // 2
-        # the greeting is the first message received
-        assert events[0] == -1 and max(np.cumsum(events[1:])) == queued
-        _no_child_left()
-
-    def test_in_process_below_break_even(self, tmp_path, spawns):
-        test_write_csv_matches_row_loop(tmp_path, self.SHORT)
-        assert spawns == []
-
-    def test_in_process_on_one_cpu(self, tmp_path, spawns, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        test_write_csv_matches_row_loop(tmp_path, self.LONG)
-        assert spawns == []
-
-    def test_in_process_when_no_process_starts(self, tmp_path, monkeypatch):
-        # out of processes: the write goes on in this process, and closes
-        # the pipes it made
-        def refused(*args, **kwargs):
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "posix_spawn", refused)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        fds = _open_fds()
-        test_write_csv_matches_row_loop(tmp_path, self.LONG)
-        assert _open_fds() == fds
-        _no_child_left()
-
-    def test_in_process_when_the_process_never_greets(self, tmp_path, spawns, monkeypatch):
-        script = tmp_path / "silent.py"
-        script.write_text("import os\nos._exit(1)\n")
-        monkeypatch.setattr(scenario.csvblock, "__file__", str(script))
-        test_write_csv_matches_row_loop(tmp_path, self.LONG)
-        assert len(spawns) == 1
-        _no_child_left()
-
-    def test_silent_process_is_killed(self, tmp_path, monkeypatch):
-        # a process that neither greets nor ends is killed once the writer
-        # has formatted every block itself
-        script = tmp_path / "silent.py"
-        script.write_text("import time\ntime.sleep(600)\n")
-        monkeypatch.setattr(scenario.csvblock, "__file__", str(script))
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        test_write_csv_matches_row_loop(tmp_path, self.LONG)
-        _no_child_left()
-
-    def test_sigchld_ignored(self, tmp_path, spawns, replies):
-        # the system reaps the process itself, and the writer must not fail
-        import signal
-
-        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-        try:
-            test_write_csv_matches_row_loop(tmp_path, self.LONG)
-        finally:
-            signal.signal(signal.SIGCHLD, previous)
-        assert len(spawns) == 1 and len(replies) > 1
-        _no_child_left()
-
-    def test_kept_set_is_the_in_process_one(self, tmp_path, spawns, replies, monkeypatch):
-        def case_study(out):
-            """The kept set after each write of the bundled case study."""
-            scenario._KEPT.clear()
-            held = []
-
-            def write_csv(*args, **kwargs):
-                _write_csv(*args, **kwargs)
-                held.append((dict(scenario._KEPT), scenario._KEPT.nbytes))
-
-            monkeypatch.setattr(scenario, "_write_csv", write_csv)
-            assert run_cli("case-study", "--out", str(out)) == 0
-            return held
-
-        shared = case_study(tmp_path / "shared")
-        assert len(spawns) == 5 and len(replies) > 5 * 2
-        monkeypatch.delattr(os, "posix_spawn")
-        assert case_study(tmp_path / "in_process") == shared
-        assert len(spawns) == 5 and shared[3][0]
-        for name in ("case_study.csv", *(f"trace_{s}.csv" for s in SUBCASES)):
-            assert ((tmp_path / "shared" / name).read_bytes()
-                    == (tmp_path / "in_process" / name).read_bytes())
-
-    def test_repeated_block_kept_once(self, tmp_path, spawns, monkeypatch):
-        # in one process the later copies find the first one kept; the
-        # formatter process formats its copies again, and the writer must
-        # not keep them twice
-        col = np.tile(np.arange(scenario._BLOCK_ROWS) * 0.1,
-                      -(-self.LONG // scenario._BLOCK_ROWS) + 2)
-        cols = [col] + [np.zeros(col.size)] * 15
-        kept = []
-        for _ in range(2):
-            scenario._KEPT.clear()
-            _write_csv(tmp_path / "out.csv", "c", cols, "test CSV", keep=1)
-            kept.append((dict(scenario._KEPT), scenario._KEPT.nbytes))
-            monkeypatch.delattr(os, "posix_spawn", raising=False)
-        assert len(spawns) == 1 and kept[0] == kept[1] and len(kept[0][0]) == 1
-        scenario._KEPT.clear()
-
-    def test_unwritable_path_starts_nothing(self, tmp_path, spawns):
-        with pytest.raises(OSError, match=re.escape(f"cannot write test CSV to {tmp_path}")):
-            _write_csv(tmp_path, "c", [np.arange(self.LONG, dtype=float)] * 16, "test CSV")
-        assert spawns == []
-        _no_child_left()
-
-    def test_failed_process_names_the_path(self, tmp_path, spawns, monkeypatch):
-        script = tmp_path / "dying.py"
-        script.write_text(_DYING_FORMATTER)
-        monkeypatch.setattr(scenario.csvblock, "__file__", str(script))
-        path = tmp_path / "out.csv"
-        fds = _open_fds()
-        with pytest.raises(OSError, match=re.escape(f"cannot write test CSV to {path}: the "
-                                                    "formatting process ended early")):
-            _write_csv(path, "c", [np.arange(self.LONG) * 0.1] * 16, "test CSV")
-        assert len(spawns) == 1 and _open_fds() == fds
-        _no_child_left()
-
-    def test_failed_writer_ends_the_process(self, tmp_path, spawns, monkeypatch):
-        # the writer stops reading: closing its ends of the pipes ends the
-        # process, and the writer reaps it
-        calls, format_block = [], scenario.csvblock.format_block
-
-        def failing(*args):
-            calls.append(None)
-            if len(calls) > 4:
-                raise MemoryError("writer failed")
-            return format_block(*args)
-
-        monkeypatch.setattr(scenario.csvblock, "format_block", failing)
-        cols = [np.arange(self.LONG) * 0.1 for _ in range(16)]
-        with pytest.raises(MemoryError, match="writer failed"):
-            _write_csv(tmp_path / "out.csv", "c", cols, "test CSV")
-        assert len(spawns) == 1
-        _no_child_left()
-
-    def test_writes_without_warnings(self, tmp_path, spawns):
-        # python 3.12 and later warn on os.fork in a process with threads, as
-        # numpy's BLAS has; the writer starts its process without a fork
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            test_write_csv_matches_row_loop(tmp_path, self.LONG)
-        assert len(spawns) == 1 and caught == []
-
-    @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                        reason="counts minor faults of private pages on Linux")
-    def test_spawn_leaves_pages_writable(self, tmp_path, spawns):
-        # a fork write-protects every private page of the writer, and each
-        # page it rewrites after the write then faults once; a spawn leaves
-        # them writable. 4 KiB pages, so that one fault stands for one page
-        import mmap
-        import resource
-
-        pages = mmap.mmap(-1, 8 << 20, flags=mmap.MAP_PRIVATE)
-        pages.madvise(mmap.MADV_NOHUGEPAGE)
-        array = np.frombuffer(pages, np.uint8)
-        array += 1
-        _write_csv(tmp_path / "out.csv", "c", [np.arange(self.LONG) * 0.1] * 16, "test CSV")
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        array += 1
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-        del array
-        pages.close()
-        assert faults < 64, f"{faults} minor faults on 2048 pages"
-        assert len(spawns) == 1
+        assert not (tmp_path / "case_study.csv").exists()
