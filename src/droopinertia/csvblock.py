@@ -116,8 +116,11 @@ def _shortest(bits: np.ndarray):
 #   words 6-7: 14 trailing zeros, ".0"
 _WORDS = 8
 _LEAD, _A, _E, _POINT, _B, _POINT_ZERO = 2, 7, 24, 31, 32, 62
-_FIXED = 20 * 17  # layouts (point, count): point -3 to 16, count 1 to 17
-_LAYOUTS = _FIXED + 2 * 17 + 1  # then (count, 3-digit exponent) in scientific form; then off the path
+# layouts: (point, count) in fixed form, point -3 to 15 (on the path, values
+# are below 2**49 < 10**15) and count 1 to 17; then (count, 3-digit exponent)
+# in scientific form; then off the path
+_FIXED = 19 * 17
+_LAYOUTS = _FIXED + 2 * 17 + 1
 
 
 def _slot_table() -> np.ndarray:
@@ -129,7 +132,7 @@ def _slot_table() -> np.ndarray:
     def put(layout, at, text):
         slots[layout][at:at + len(text)] = bytes(text)
 
-    for point in range(-3, 16):  # on the path, values are below 2**49 < 10**15
+    for point in range(-3, 16):
         for count in range(1, 18):
             layout = (point + 3) * 17 + count - 1
             if point <= 0:  # 0.000ddd
@@ -293,6 +296,6 @@ def format_block(cols: list[np.ndarray]) -> bytearray:
         constant = ""
     words.extend(_words(f"{constant}\n".encode()))
     text = bytearray(8 * rows * len(words))
-    np.stack([w if isinstance(w, np.ndarray) else np.broadcast_to(w, rows) for w in words], axis=1,
-             out=np.frombuffer(text, np.uint64).reshape(rows, len(words)))
+    np.stack([w if isinstance(w, np.ndarray) else np.broadcast_to(w, rows) for w in words],
+             axis=1, out=np.frombuffer(text, np.uint64).reshape(rows, len(words)))
     return text.translate(None, b"\0")

@@ -29,7 +29,10 @@ REPLACEMENTS = st.one_of(
 
 def _paths(doc, path=()):
     """The path of every value below doc, as a tuple of keys and indices."""
-    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
     for key, value in items:
         yield path + (key,)
         yield from _paths(value, path + (key,))

@@ -54,7 +54,8 @@ def test_random_magnitudes():
 EDGES = [
     5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
     float(2**53 - 1), float(2**53), float(2**53 + 1), 2.0**53 + 2,
-    0.1, 0.2, 0.3, 1e-05, 9.999999999999999e-05, 0.0001, 9999999999999998.0, 1e16, 1e22, 1e23, 0.0, -0.0, np.inf, -np.inf, np.nan,
+    0.1, 0.2, 0.3, 1e-05, 9.999999999999999e-05, 0.0001, 9999999999999998.0,
+    1e16, 1e22, 1e23, 0.0, -0.0, np.inf, -np.inf, np.nan,
     float(np.iinfo(np.int64).min), float(np.iinfo(np.int64).max),
 ]
 
