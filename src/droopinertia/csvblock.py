@@ -1,26 +1,15 @@
 """Formatting of CSV rows, the body of the package's one CSV writer.
 
-format_block sets out a chunk of equal-length columns as CSV rows, each value
-exactly ``repr`` of its Python scalar, in whole-column numpy operations:
-
-- digits: the shortest round-trip digits of each float64, the closest to it
-  of those, by the common path of Ryū (Adams, "Ryū: fast float-to-string
-  conversion", PLDI 2018), on int64 limbs, with its powers of 5 built at
-  import from Python ints;
-- layout: a value's slot is a few 8-byte words that hold each character
-  repr could write there (comma, sign, ``0.`` and leading zeros, the digits
-  twice so that a point can follow any of them, trailing zeros and ``.0``,
-  an exponent) and zero bytes elsewhere; each word is one take from a table
-  of slots by the value's layout, ANDed with a word of its digits;
-- rows: the words of a chunk's fields stand side by side in a matrix, whose
-  bytes, with the zero bytes dropped by one ``bytes.translate``, are its
-  rows.
-
-repr still formats, once per distinct value, the values off that path:
-non-finite values, subnormals, powers of two, Ryū's trailing-zero cases
-(among them every float of magnitude 2**49 or more) and the values of a
-column that is not float64. A column that is constant over the chunk, or
-bit-identical to an earlier column of it, is formatted once.
+format_block writes each value as exactly ``repr`` of its Python scalar, in
+whole-column numpy operations: the shortest round-trip digits of a float64,
+the closest to it of those, by the common path of Ryū (Adams, "Ryū: fast
+float-to-string conversion", PLDI 2018) on int64 limbs; its text in 8-byte
+slot words, each a table take by the value's layout ANDed with a word of its
+digits; and the rows as the chunk's words side by side, their zero bytes
+dropped by one ``bytes.translate``. repr still formats, once per distinct
+value, the values off that path: non-finite values, subnormals, powers of
+two, Ryū's trailing-zero cases (among them every float of magnitude 2**49 or
+more) and the values of a column that is not float64.
 """
 
 import numpy as np
@@ -31,12 +20,11 @@ _MANTISSA = (1 << 52) - 1
 
 
 def _ryu_tables() -> np.ndarray:
-    """Per biased exponent of a float64, whose value is mv * 2**e2 with mv
-    4 times its mantissa and hidden bit: the mantissa bits of which one must
-    be set for Ryū's common path, none where the exponent is off it; the
-    decimal exponent of vr; the five 31-bit limbs of Ryū's 125-bit power of
-    5, P, shifted so that vr = mv * P >> 124 at every exponent; and 2P split
-    as spread * 2**124 + low, with low and 2**124 - low in 62-bit halves."""
+    """Per biased exponent of a float64, mv * 2**e2 with mv 4 times its
+    mantissa and hidden bit: the mantissa bits of which one must be set on
+    Ryū's common path (none off it); the decimal exponent of vr; the 31-bit
+    limbs of Ryū's 125-bit power of 5, P, shifted so that vr = mv * P >> 124;
+    and 2P as spread * 2**124 + low, with low and 2**124 - low in halves."""
     rows, top, half = [], 1 << 124, (1 << 62) - 1
     for biased in range(1, 1072):  # normal, and mv * 2**e2 < 2**50
         e2 = biased - 1077
@@ -70,18 +58,15 @@ def _shortest(bits: np.ndarray):
     a0, a1 = mv & _LIMB_MASK, mv >> _LIMB
     # mv * P, a 31-bit column at a time from the bottom: the 124 bits below
     # vr as two 62-bit halves, low and high, and vr above them
-    def column(below, x, y):
-        return (below >> _LIMB) + a0 * x + a1 * y
-
     vr = a0 * p0
     low = vr & _LIMB_MASK
-    vr = column(vr, p1, p0)
+    vr = (vr >> _LIMB) + a0 * p1 + a1 * p0
     low |= (vr & _LIMB_MASK) << _LIMB
-    vr = column(vr, p2, p1)
+    vr = (vr >> _LIMB) + a0 * p2 + a1 * p1
     high = vr & _LIMB_MASK
-    vr = column(vr, p3, p2)
+    vr = (vr >> _LIMB) + a0 * p3 + a1 * p2
     high |= (vr & _LIMB_MASK) << _LIMB
-    vr = column(vr, p4, p3) + ((a1 * p4) << _LIMB)
+    vr = (vr >> _LIMB) + a0 * p4 + a1 * p3 + ((a1 * p4) << _LIMB)
     # vp, vm: (mv + 2) * P >> 124 and (mv - 2) * P >> 124
     vp = vr + spread + ((high > up_high) | (high == up_high) & (low >= up_low))
     vm = vr - spread - ((high < down_high) | (high == down_high) & (low < down_low))
@@ -116,9 +101,8 @@ def _shortest(bits: np.ndarray):
 #   words 6-7: 14 trailing zeros, ".0"
 _WORDS = 8
 _LEAD, _A, _E, _POINT, _B, _POINT_ZERO = 2, 7, 24, 31, 32, 62
-# layouts: (point, count) in fixed form, point -3 to 15 (on the path, values
-# are below 2**49 < 10**15) and count 1 to 17; then (count, 3-digit exponent)
-# in scientific form; then off the path
+# layouts: (point -3 to 15, count 1 to 17) in fixed form, as values on the path
+# are below 2**49 < 10**15; (count, 3-digit exponent) in scientific; off the path
 _FIXED = 19 * 17
 _LAYOUTS = _FIXED + 2 * 17 + 1
 
@@ -127,31 +111,30 @@ def _slot_table() -> np.ndarray:
     """Per code, negative * _LAYOUTS + layout: each byte of the slot, 0xFF
     for a digit kept, 0 for a byte left empty."""
     slots = [bytearray(8 * _WORDS) for _ in range(_LAYOUTS)]
-    digit = 0xFF
 
     def put(layout, at, text):
-        slots[layout][at:at + len(text)] = bytes(text)
+        slots[layout][at:at + len(text)] = text
 
     for point in range(-3, 16):
         for count in range(1, 18):
             layout = (point + 3) * 17 + count - 1
             if point <= 0:  # 0.000ddd
                 put(layout, _LEAD, b"0." + b"0" * -point)
-                put(layout, _A, [digit] * count)
+                put(layout, _A, b"\xff" * count)
             elif point < count:  # ddd.ddd
-                put(layout, _A, [digit] * point)
+                put(layout, _A, b"\xff" * point)
                 put(layout, _POINT, b".")
-                put(layout, _B + point - 1, [digit] * (count - point))
+                put(layout, _B + point - 1, b"\xff" * (count - point))
             else:  # ddd000.0
-                put(layout, _A, [digit] * count)
+                put(layout, _A, b"\xff" * count)
                 put(layout, _POINT_ZERO - (point - count), b"0" * (point - count) + b".0")
     for count in range(1, 18):
         for wide in (0, 1):  # d.ddde-XX or d.ddde-XXX
             layout = _FIXED + 2 * (count - 1) + wide
-            put(layout, _LEAD, [digit] + list(b"." if count > 1 else b"\0"))
-            put(layout, _A + 1, [digit] * (count - 1))
+            put(layout, _LEAD, b"\xff." if count > 1 else b"\xff")
+            put(layout, _A + 1, b"\xff" * (count - 1))
             put(layout, _E, b"e-")
-            put(layout, _E + 3 - wide, [digit] * (2 + wide))
+            put(layout, _E + 3 - wide, b"\xff" * (2 + wide))
     table = np.frombuffer(b"".join(slots) * 2, np.uint8).reshape(2 * _LAYOUTS, 8 * _WORDS).copy()
     table[_LAYOUTS:-1, 1] = ord("-")
     table[:, 0] = ord(",")
@@ -188,22 +171,14 @@ _SCALE3 = _digit_words(3, 2, 0xFF)
 _NO_COMMA = np.frombuffer(b"\0" + b"\xff" * 7, np.uint64)[0]
 
 
-def _text_words(texts: list[str]) -> np.ndarray:
-    """texts as rows of 8-byte words of ASCII, each padded with zero bytes
-    to the longest."""
-    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
-    matrix = np.zeros((len(texts), -(-int(lengths.max()) // 8) * 8), np.uint8)
-    matrix[np.arange(matrix.shape[1]) < lengths[:, None]] = np.frombuffer(
-        "".join(texts).encode("ascii"), np.uint8)
-    return matrix.view(np.uint64)
-
-
 def _repr_words(values: np.ndarray, before: str = "") -> np.ndarray:
-    """The text words of ``before`` and repr of each value's Python scalar,
-    made once per distinct bit pattern."""
+    """Rows of 8-byte words that hold ``before`` and repr of each value's
+    Python scalar in ASCII, padded with zero bytes to the longest; repr runs
+    once per distinct bit pattern."""
     distinct, index = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
-    texts = [before + repr(v) for v in distinct.view(values.dtype).tolist()]
-    return _text_words(texts)[index.ravel()]
+    texts = [(before + repr(v)).encode() for v in distinct.view(values.dtype).tolist()]
+    width = -(-max(map(len, texts)) // 8) * 8
+    return np.array(texts, f"S{width}").view(np.uint64).reshape(len(texts), -1)[index.ravel()]
 
 
 def _float_words(values: np.ndarray) -> list[list[np.ndarray]]:
@@ -217,11 +192,8 @@ def _float_words(values: np.ndarray) -> list[list[np.ndarray]]:
     count[zero] = 1
     point = np.where(zero, 1, exponent + count)  # the value is 0.<digits> * 10**point
     fixed = shown & (point > -4)
-    layout = np.where(fixed, (point + 3) * 17 + count - 1, _LAYOUTS - 1)
     sci = on_path & ~fixed
-    if sci.any():
-        layout[sci] = _FIXED + 2 * (count[sci] - 1) + (point[sci] <= -99)
-    code = layout + _LAYOUTS * (shown & (bits < 0))
+    layout = np.where(fixed, (point + 3) * 17 + count - 1, _LAYOUTS - 1)
 
     # the digits, left-aligned in 17 columns, as words to AND with the slot's
     padded = digits * _POW10.take(17 - count)
@@ -235,11 +207,12 @@ def _float_words(values: np.ndarray) -> list[list[np.ndarray]]:
         digit_words[words[0]] = digit_words[words[1]] = (
             _LOW4.take(top) | _HIGH4.take(half - top * 10000))
     if sci.any():
+        layout[sci] = _FIXED + 2 * (count[sci] - 1) + (point[sci] <= -99)
         digit_words[3] = _SCALE3.take(np.where(sci, 1 - point, 0))
 
-    shape = values.shape
-    code, shown = code.reshape(shape), shown.reshape(shape)
-    digit_words = {word: d.reshape(shape) for word, d in digit_words.items()}
+    code = (layout + _LAYOUTS * (shown & (bits < 0))).reshape(values.shape)
+    shown = shown.reshape(values.shape)
+    digit_words = {word: d.reshape(values.shape) for word, d in digit_words.items()}
     fields = []
     for row, row_code in enumerate(code):
         columns = []
@@ -254,7 +227,7 @@ def _float_words(values: np.ndarray) -> list[list[np.ndarray]]:
         if off.size:
             for j, text in enumerate(_repr_words(values[row, off], ",").T):
                 if j == len(columns):
-                    columns.append(np.zeros(shape[1], np.uint64))
+                    columns.append(np.zeros(values.shape[1], np.uint64))
                 columns[j][off] = text
         fields.append(columns)
     return fields
@@ -262,32 +235,26 @@ def _float_words(values: np.ndarray) -> list[list[np.ndarray]]:
 
 def format_block(cols: list[np.ndarray]) -> bytearray:
     """The CSV rows of equal-length 1-d columns, each value exactly ``repr``
-    of its Python scalar."""
+    of its Python scalar. A column that is constant, or bit-identical to an
+    earlier one, is formatted once."""
     rows = len(cols[0])
-    fields, distinct = [], []  # per column, its distinct column: [dtype, bits, text]
+    fields, distinct = [], {}  # each column's key; the text of each (dtype, bytes) key
     for col in cols:
         col = np.ascontiguousarray(col)
-        bits = col.view(f"u{col.itemsize}")
-        for seen in distinct:
-            if seen[0] == col.dtype and seen[1][0] == bits[0] and np.array_equal(seen[1], bits):
-                break
-        else:
-            seen = [col.dtype, bits, None]
-            if (bits == bits[0]).all():
-                seen[2] = f",{col[0].item()!r}"
-            elif col.dtype != np.float64:
-                seen[2] = list(_repr_words(col, ",").T)
-            distinct.append(seen)
-        fields.append(seen)
+        key = (col.dtype.str, col.tobytes())
+        if key not in distinct:
+            bits = col.view(f"u{col.itemsize}")
+            distinct[key] = (f",{col[0].item()!r}" if (bits == bits[0]).all() else
+                             col if col.dtype == np.float64 else list(_repr_words(col, ",").T))
+        fields.append(key)
     # the other float64 columns, formatted together
-    floats = [seen for seen in distinct if seen[2] is None]
+    floats = [key for key, text in distinct.items() if isinstance(text, np.ndarray)]
     if floats:
-        for seen, words in zip(floats, _float_words(np.stack([s[1] for s in floats])
-                                                    .view(np.float64))):
-            seen[2] = words
+        for key, words in zip(floats, _float_words(np.stack([distinct[k] for k in floats]))):
+            distinct[key] = words
     # the word columns of each row, a run of constant fields sharing words
     words, constant = [], ""
-    for i, (_, _, text) in enumerate(fields):
+    for i, text in enumerate(map(distinct.get, fields)):
         if isinstance(text, str):
             constant += text if i else text[1:]
             continue
