@@ -25,7 +25,8 @@ def _ryu_tables() -> np.ndarray:
     Ryū's common path (none off it); the decimal exponent of vr; the 31-bit
     limbs of Ryū's 125-bit power of 5, P, shifted so that vr = mv * P >> 124;
     and 2P as spread * 2**124 + low, with low and 2**124 - low in halves."""
-    rows, top, half = [], 1 << 124, (1 << 62) - 1
+    table = np.zeros((12, 2048), np.int64)  # 0 and 1072 up: off the path
+    top, half = 1 << 124, (1 << 62) - 1
     for biased in range(1, 1072):  # normal, and mv * 2**e2 < 2**50
         e2 = biased - 1077
         q = (-e2 * 732923 >> 20) - 1  # log10(5**-e2), floored, less one
@@ -35,12 +36,10 @@ def _ryu_tables() -> np.ndarray:
         # vr ends in zeros where mv has q trailing zero bits: m2 has q - 2
         needed = (1 << min(q - 2, 52)) - 1 if q > 2 else 0
         low = 2 * mul & top - 1
-        rows.append((needed, q + e2, mul & _LIMB_MASK, mul >> 31 & _LIMB_MASK,
-                     mul >> 62 & _LIMB_MASK, mul >> 93 & _LIMB_MASK, mul >> 124, 2 * mul >> 124,
-                     low >> 62, low & half, top - low >> 62, top - low & half))
-    table = np.zeros((2048, 12), np.int64)  # 0 and 1072 up: off the path
-    table[1:1072] = rows
-    return table.T.copy()
+        table[:, biased] = (needed, q + e2, mul & _LIMB_MASK, mul >> 31 & _LIMB_MASK,
+                            mul >> 62 & _LIMB_MASK, mul >> 93 & _LIMB_MASK, mul >> 124,
+                            2 * mul >> 124, low >> 62, low & half, top - low >> 62, top - low & half)
+    return table
 
 
 _RYU = _ryu_tables()
@@ -153,7 +152,7 @@ def _words(text: bytes) -> np.ndarray:
 def _digit_words(width: int, at: int, fill: int) -> np.ndarray:
     """Per k below 10**width, a word that holds the ASCII digits of k from
     byte ``at``, and ``fill`` in its other bytes."""
-    k = np.arange(10 ** width)
+    k = np.arange(10 ** width, dtype=np.int32)
     text = np.full((k.size, 8), fill, np.uint8)
     for j in range(width):
         text[:, at + j] = k // 10 ** (width - 1 - j) % 10 + ord("0")
