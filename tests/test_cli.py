@@ -4,6 +4,7 @@ import json
 import os
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from dataclasses import replace
 
 from droopinertia import cli, scenario
 from droopinertia.scenario import (
+    SUBCASES,
     _write_csv,
     default_config_path,
     emit_case_study_csv,
+    emit_trace_csv,
     load_config,
     run_case_study,
 )
@@ -482,3 +485,49 @@ class TestWriter:
         with pytest.raises(ValueError, match="common time grid"):
             emit_case_study_csv(replace(result, traces=traces), tmp_path / "case_study.csv")
         assert not (tmp_path / "case_study.csv").exists()
+
+
+class TestNothingKeptAcrossWrites:
+    """A write formats the arrays as they are when it is called, and holds
+    none of them after it returns."""
+
+    @pytest.fixture
+    def result(self):
+        cfg = load_config(default_config_path())
+        return run_case_study(replace(cfg, sim=replace(cfg.sim, time_step=0.01,
+                                                       duration=20.0)))
+
+    def _merged_csv_after_traces(self, result, tmp_path, change):
+        for sub in SUBCASES:
+            emit_trace_csv(result.traces[sub], tmp_path / f"trace_{sub}.csv")
+        change(result.traces["vdic"].omega)
+        emit_case_study_csv(result, tmp_path / "case_study.csv")
+        names = [(q, s) for q in ("omega", "rocof") for s in SUBCASES]
+        header = "t" + "".join(f",{q}_{s}" for q, s in names)
+        cols = [result.traces[SUBCASES[0]].sample_times,
+                *(getattr(result.traces[s], q) for q, s in names)]
+        assert (tmp_path / "case_study.csv").read_text() == _reference_csv(header, cols)
+
+    def test_merged_csv_after_an_array_changed(self, result, tmp_path):
+        # the same array, new values after its trace CSV was written
+        def change(omega):
+            omega[1024:] = omega[1024:] * 1.5 + 1e-3
+        self._merged_csv_after_traces(result, tmp_path, change)
+
+    def test_merged_csv_after_one_value_changed(self, result, tmp_path):
+        # the first and last values of its chunk stay: only the chunk's whole
+        # bytes tell it from the one the trace CSV wrote
+        def change(omega):
+            omega[1536] = omega[1536] * 1.5 + 1e-3
+        self._merged_csv_after_traces(result, tmp_path, change)
+
+    def test_trace_freed_after_its_csv(self, tmp_path):
+        cfg = load_config(default_config_path())
+        trace, _ = cli.run_subcase(replace(cfg, sim=replace(cfg.sim, time_step=0.01,
+                                                            duration=20.0)))
+        emit_trace_csv(trace, tmp_path / "trace.csv")
+        arrays = [weakref.ref(trace.sample_times), weakref.ref(trace.omega),
+                  weakref.ref(trace.rocof)]
+        del trace
+        gc.collect()
+        assert [ref() for ref in arrays] == [None, None, None]

@@ -102,6 +102,44 @@ def test_bit_pattern_property(bits):
     assert not mismatches(_both_signs(float(np.array(bits, np.uint64).view(np.float64))))
 
 
+@pytest.mark.parametrize("count", range(1, 18))
+def test_every_layout(count):
+    # values of count significant digits, of either sign, with the decimal
+    # point at every position from 10**-320 to 10**308: each fixed and
+    # scientific layout of that many digits
+    rng = np.random.default_rng(count)
+    digits = rng.integers(10 ** (count - 1), 10**count, size=6, dtype=np.int64)
+    digits += digits % 10 == 0  # a last digit of 0 would shorten the text
+    values = np.array([float(f"{d}e{point - count}")
+                       for point in range(-320, 309) for d in digits.tolist()])
+    assert np.isfinite(values).all()
+    assert not mismatches(np.concatenate([values, -values]))
+
+
+@pytest.mark.parametrize("dtype", ["int64", "int32", "uint64", "uint8", "float32", "float16",
+                                   "bool"])
+def test_column_of_another_dtype(dtype):
+    # repr of each value's Python scalar, beside a float64 column
+    rng = np.random.default_rng(5)
+    col = (rng.normal(size=3000) * 1000).astype(dtype)
+    floats = np.arange(3000) * 0.1
+    rows = bytes(format_block([col, floats])).decode().splitlines()
+    assert rows == [f"{col[i].item()!r},{floats[i].item()!r}" for i in range(3000)]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 5e-324, -1e-310, 0.5, -0.0,
+                                   2.0**60, -1e300, 1.7976931348623157e308])
+def test_special_value_in_a_varied_column(value):
+    # a value off the vectorized path, whose text is repr's and for most of
+    # them longer than a slot's words, or -0.0, which the path sets out apart
+    # from its digits, among values the path formats
+    col = np.linspace(1.0, 2.0, 5000)
+    col[[0, 1234, 4000, 4999]] = value
+    rows = bytes(format_block([col, col[::-1], col])).decode().splitlines()
+    assert rows == [f"{col[i].item()!r},{col[-1 - i].item()!r},{col[i].item()!r}"
+                    for i in range(5000)]
+
+
 @pytest.mark.parametrize("size", [1, 2, 3, 17])
 def test_short_columns(size):
     rng = np.random.default_rng(size)
