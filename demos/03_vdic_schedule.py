@@ -32,9 +32,9 @@ TARGET = 40.0
 
 bounded = DroopSchedule(target_inertia=TARGET, upper_bound=128.0, lower_bound=32.0)
 print("bounded schedule (target 40 s, cap 128 p.u., floor 32 p.u.):")
-print(f"  k = 128       for t <= {bounded.saturation_end} s")
-print(f"  k = 40/t      for {bounded.saturation_end} s < t < {bounded.floor_start} s")
-print(f"  k = 32        for t >= {bounded.floor_start} s")
+for start, end, kind, value in Vdic(bounded).segments():
+    law = f"{value:g}/t" if kind == "inverse" else f"{value:g}"
+    print(f"  k = {law:<9} from {start} s to {end} s")
 times = np.array([0.0, 0.1, 0.3125, 0.5, 1.0, 1.25, 5.0])
 for t, k in zip(times, Vdic(bounded).coefficients(times)):
     print(f"  k({t:6.4f} s) = {k:8.3f} p.u.")

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytics import estimate_from_trace
+from .controllers import Vdic
 from .errors import ConfigError, SimulationDivergedError, ValidationError
 from .scenario import (
     SUBCASES,
@@ -102,17 +103,17 @@ def _cmd_design_schedule(args) -> int:
     cfg = _load(args)
     if cfg.vdic_schedule is None:
         raise ConfigError("design-schedule requires the vdic_schedule block")
-    sch = cfg.vdic_schedule
+    saturated, band, floor = Vdic(cfg.vdic_schedule).segments()
     payload = {
-        "target_inertia_s": sch.target_inertia,
-        "upper_bound_pu": sch.upper_bound,
-        "lower_bound_pu": sch.lower_bound,
-        "saturation_end_s": sch.saturation_end,
-        "floor_start_s": sch.floor_start,
+        "target_inertia_s": band[3],
+        "upper_bound_pu": saturated[3],
+        "lower_bound_pu": floor[3],
+        "saturation_end_s": band[0],
+        "floor_start_s": floor[0],
         "segments": [
-            f"k = {sch.upper_bound:g} for t <= {sch.saturation_end:g} s",
-            f"k = {sch.target_inertia:g}/t for {sch.saturation_end:g} s < t < {sch.floor_start:g} s",
-            f"k = {sch.lower_bound:g} for t >= {sch.floor_start:g} s",
+            f"k = {saturated[3]:g} for t <= {saturated[1]:g} s",
+            f"k = {band[3]:g}/t for {band[0]:g} s < t < {band[1]:g} s",
+            f"k = {floor[3]:g} for t >= {floor[0]:g} s",
         ],
     }
     print(json.dumps(payload, indent=2))

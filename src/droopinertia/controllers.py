@@ -16,6 +16,7 @@ limits above, retained steady-state frequency support below).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,16 +51,6 @@ class DroopSchedule:
                 f"upper_bound ({self.upper_bound})"
             )
 
-    @property
-    def saturation_end(self) -> float:
-        """Time at which 1/t drops to the upper bound (end of saturation)."""
-        return self.target_inertia / self.upper_bound
-
-    @property
-    def floor_start(self) -> float:
-        """Time at which 1/t reaches the lower bound (start of the floor)."""
-        return self.target_inertia / self.lower_bound
-
 
 @dataclass(frozen=True)
 class GovernorSpec:
@@ -93,6 +84,12 @@ class Controller:
     def coefficients(self, elapsed: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def segments(self) -> tuple[tuple[float, float, str, float], ...]:
+        """The law's pieces in order over elapsed time, (start, end, kind,
+        value): kind "constant" is k = value, "inverse" k = value / t. Empty
+        when they are not known; the integrator then plans equal substeps."""
+        return ()
+
 
 class ConstantDroop(Controller):
     def __init__(self, k_total: float):
@@ -114,6 +111,8 @@ class NoControl(ConstantDroop):
 
 class Vdic(Controller):
     def __init__(self, schedule: DroopSchedule):
+        if not isinstance(schedule, DroopSchedule):
+            raise ValidationError(f"schedule must be a DroopSchedule, got {schedule!r}")
         self.schedule = schedule
 
     def coefficients(self, elapsed: np.ndarray) -> np.ndarray:
@@ -123,3 +122,12 @@ class Vdic(Controller):
         with np.errstate(divide="ignore", over="ignore"):  # elapsed 0 takes the upper bound
             k = np.minimum(s.upper_bound, np.maximum(s.lower_bound, s.target_inertia / elapsed))
         return np.where(elapsed > 0.0, k, s.upper_bound)
+
+    def segments(self) -> tuple[tuple[float, float, str, float], ...]:
+        """Saturated at the upper bound up to T/U, T/t in the band, and the
+        floor from T/L on."""
+        s = self.schedule
+        t_sat, t_floor = s.target_inertia / s.upper_bound, s.target_inertia / s.lower_bound
+        return ((0.0, t_sat, "constant", s.upper_bound),
+                (t_sat, t_floor, "inverse", s.target_inertia),
+                (t_floor, math.inf, "constant", s.lower_bound))

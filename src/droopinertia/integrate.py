@@ -18,12 +18,12 @@ Numerics notes, all load-bearing:
   pieces at the crossovers and, while in the 1/t band, limits each internal
   substep to a fixed fraction of elapsed time (geometric refinement toward
   the onset). Output samples stay on the uniform grid; the refinement is a
-  deterministic function of the schedule parameters only. Any other law
-  splits an output step into equal substeps with k*h/t_j within the
-  integrator's stability bound, k the law's peak over the samples.
+  deterministic function of the law's pieces only. Any other law splits an
+  output step into equal substeps with k*h/t_j within the integrator's
+  stability bound, k the law's peak over the samples.
 * Every controller takes one path: plan, evaluate, step. For a block of
-  output samples numpy plans the substeps (_vdic_plan for a Vdic, whose
-  breakpoints are the only thing read off a controller's type, else
+  output samples numpy plans the substeps (_vdic_plan for a law whose
+  segments() are saturated, 1/t band and floor, as a Vdic's are, else
   _uniform_plan), controller.coefficients is evaluated over their starts,
   midpoints and ends, and a loop of the kernels module steps the state
   through them: RK4 with the governor off or on, or Euler. A subclass that
@@ -46,7 +46,7 @@ from itertools import chain
 
 import numpy as np
 
-from .controllers import Controller, GovernorSpec, Vdic
+from .controllers import Controller, GovernorSpec
 from .errors import SimulationDivergedError, ValidationError
 from .model import ImbalanceEvent, SimConfig, SystemModel
 
@@ -169,11 +169,11 @@ def simulate(model: SystemModel, event: ImbalanceEvent, controller: Controller,
     tg = float(gov.time_constant) if gov.enabled else 1.0
     rk4 = config.integrator == "rk4"
     stability = 2.0 if rk4 else 1.0
-    if isinstance(controller, Vdic):
-        sch = controller.schedule
-        plan = partial(_vdic_plan, sch.saturation_end, sch.floor_start,
-                       _SAT_STEP_LIMIT * t_j / sch.upper_bound,
-                       stability * t_j / sch.lower_bound, _BAND_STEP_FRACTION)
+    pieces = controller.segments()
+    if tuple(kind for _, _, kind, _ in pieces) == ("constant", "inverse", "constant"):
+        (_, t_sat, _, upper), (_, t_floor, _, _), (_, _, _, lower) = pieces
+        plan = partial(_vdic_plan, t_sat, t_floor, _SAT_STEP_LIMIT * t_j / upper,
+                       stability * t_j / lower, _BAND_STEP_FRACTION)
     else:
         plan = partial(_uniform_plan, stability * t_j / peak if peak > 0.0 else math.inf)
     # imported here so that commands which never integrate, such as

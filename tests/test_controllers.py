@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from droopinertia import (
     ConstantDroop,
@@ -63,9 +65,10 @@ class TestConstantDroopPower:
 
 class TestDroopSchedule:
     def test_crossovers(self):
-        assert SCHEDULE.saturation_end == 0.3125
-        assert SCHEDULE.floor_start == 1.25
-        assert SCHEDULE.saturation_end <= SCHEDULE.floor_start
+        _, (saturation_end, floor_start, _, _), _ = Vdic(SCHEDULE).segments()
+        assert saturation_end == 0.3125
+        assert floor_start == 1.25
+        assert saturation_end <= floor_start
 
     def test_bounds_ordering_enforced(self):
         with pytest.raises(ValidationError):
@@ -239,6 +242,14 @@ class TestAllocateDroop:
 
 
 class TestControllerObjects:
+    @pytest.mark.parametrize("schedule", [None, (40.0, 128.0, 32.0), {"target_inertia": 40.0}])
+    def test_vdic_refuses_what_is_not_a_schedule(self, schedule):
+        with pytest.raises(ValidationError, match="schedule must be a DroopSchedule"):
+            Vdic(schedule)
+
+    def test_pieces_unknown_by_default(self):
+        assert _Ramp().segments() == ()
+
     def test_coefficient_matches_schedule(self):
         times = (0.0, 0.2, 0.9, 5.0)
         got = Vdic(SCHEDULE).coefficients(np.array(times))
@@ -276,7 +287,7 @@ def _elapsed_probes() -> np.ndarray:
     breakpoint of both schedules with its neighbours on each side."""
     probes = [0.0, np.nextafter(0.0, 1.0), 1e-3, 0.1, 0.5, 2.0, 100.0]
     for sch in (SCHEDULE, INEXACT):
-        for bp in (sch.saturation_end, sch.floor_start):
+        for _, bp, _, _ in Vdic(sch).segments()[:2]:
             probes += [np.nextafter(bp, 0.0), bp, np.nextafter(bp, np.inf)]
     return np.array(probes)
 
@@ -296,3 +307,27 @@ def test_coefficients_equal_per_sample_coefficient_bit_for_bit(controller):
     if isinstance(controller, Vdic):
         oracle = np.array([vdic_coefficient(controller.schedule, float(e)) for e in elapsed])
         assert np.array_equal(vectorised.view(np.int64), oracle.view(np.int64))
+
+
+_MAGNITUDES = st.floats(min_value=1e-100, max_value=1e100)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(target=_MAGNITUDES, bounds=st.tuples(_MAGNITUDES, _MAGNITUDES),
+       where=st.tuples(*[st.floats(min_value=1e-9, max_value=1.0)] * 3))
+def test_segments_agree_with_the_law(target, bounds, where):
+    # the pieces tile [0, inf) in order, and inside each, at least 1e-12 * t
+    # from its ends, the law is the piece's value, or value / t, bit for bit
+    lower, upper = sorted(bounds)
+    controller = Vdic(DroopSchedule(target, upper, lower))
+    pieces = controller.segments()
+    assert [kind for _, _, kind, _ in pieces] == ["constant", "inverse", "constant"]
+    assert pieces[0][0] == 0.0 and pieces[-1][1] == math.inf
+    assert all(start <= end for start, end, _, _ in pieces)
+    assert all(a[1] == b[0] for a, b in zip(pieces, pieces[1:]))
+    for (start, end, kind, value), u in zip(pieces, where):
+        t = start / u if end == math.inf else start + u * (end - start)
+        if not (t - start >= 1e-12 * t and end - t >= 1e-12 * t and 0.0 < t < math.inf):
+            continue
+        want = value / t if kind == "inverse" else value
+        assert controller.coefficients(np.array([t]))[0] == want

@@ -502,6 +502,47 @@ def _as_subclass(controller: Controller) -> Controller:
     return clone
 
 
+class _VdicLaw(Controller):
+    """Vdic's law on a plain Controller, with Vdic's pieces when given them."""
+
+    def __init__(self, schedule: DroopSchedule, pieces: bool):
+        self.vdic, self.pieces = Vdic(schedule), pieces
+
+    def coefficients(self, elapsed: np.ndarray) -> np.ndarray:
+        return self.vdic.coefficients(elapsed)
+
+    def segments(self):
+        return self.vdic.segments() if self.pieces else ()
+
+
+class _OpaqueVdic(Vdic):
+    """A Vdic that does not tell its pieces."""
+
+    def segments(self):
+        return ()
+
+
+class TestPiecesPickThePlan:
+    """The integrator plans from segments(), never from the controller's type."""
+
+    def test_plain_controller_with_vdic_pieces_gets_the_vdic_bits(self):
+        cfg = load_config(default_config_path())
+        trace = simulate(cfg.model, cfg.event, _VdicLaw(cfg.vdic_schedule, pieces=True),
+                         cfg.sim, governor=cfg.governor)
+        assert (_sha256(trace.omega), _sha256(trace.rocof)) == GOLDEN["bundled-vdic"]
+
+    @pytest.mark.parametrize("name", ["vdic-x4", "vdic_inexact-governor-onset-x4"])
+    def test_vdic_without_pieces_gets_the_plain_controller_bits(self, name):
+        model, event, controller, config, governor = GOLDEN_CASES[name]()
+        opaque = simulate(model, event, _OpaqueVdic(controller.schedule), config,
+                          governor=governor)
+        plain = simulate(model, event, _VdicLaw(controller.schedule, pieces=False), config,
+                         governor=governor)
+        assert _same_bits(opaque.omega, plain.omega)
+        assert _same_bits(opaque.rocof, plain.rocof)
+        assert (_sha256(opaque.omega), _sha256(opaque.rocof)) != GOLDEN[name]
+
+
 class _Half(ConstantDroop):
     """Half of k_total: a built-in's law changed in its one place."""
 
@@ -674,7 +715,8 @@ class TestUntouchedPaths:
     @pytest.mark.parametrize("sched", _INEXACT)
     def test_inexact_breakpoint_does_not_round_trip(self, sched):
         # the golden vdic_inexact cases rely on this
-        assert sched.target_inertia / sched.floor_start < sched.lower_bound
+        floor_start = Vdic(sched).segments()[2][0]
+        assert sched.target_inertia / floor_start < sched.lower_bound
 
 
 def _deferred_run(kind: str, n: int):

@@ -6,18 +6,21 @@ inexact breakpoints, stiff multi-piece caps, coarse steps with many
 import numpy as np
 import pytest
 
-from droopinertia.integrate import _uniform_plan, _vdic_plan
+from droopinertia import DroopSchedule, Vdic
+from droopinertia.integrate import (_BAND_STEP_FRACTION as Q, _SAT_STEP_LIMIT, _uniform_plan,
+                                    _vdic_plan)
 from oracles import uniform_pieces, vdic_pieces
 
 SEEDS = range(25)
-Q = 0.125  # fraction of elapsed time per substep in the 1/t band
 INEXACT = ((37.3, 111.1, 13.7), (56.9, 123.7, 24.6))
 
 
 def vdic_args(target, upper, lower, t_j, stability=2.0):
     """(t_sat, t_floor, cap_sat, cap_floor, q) of a schedule, as simulate
-    derives them."""
-    return (target / upper, target / lower, 0.35 * t_j / upper, stability * t_j / lower, Q)
+    derives them from its segments."""
+    (_, t_sat, _, upper), (_, t_floor, _, _), (_, _, _, lower) = Vdic(
+        DroopSchedule(target, upper, lower)).segments()
+    return (t_sat, t_floor, _SAT_STEP_LIMIT * t_j / upper, stability * t_j / lower, Q)
 
 
 def grid_steps(dt, onset, n):
