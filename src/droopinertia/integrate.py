@@ -26,9 +26,10 @@ Numerics notes, all load-bearing:
   segments() are saturated, 1/t band and floor, as a Vdic's are, else
   _uniform_plan), controller.coefficients is evaluated over their starts,
   midpoints and ends, and a loop of the kernels module steps the state
-  through them: RK4 with the governor off or on, or Euler. A subclass that
-  keeps a built-in's law gets its bits; tests pin the sha256 of the output
-  bits. droop_active is the same law over the samples.
+  through them: RK4 with the governor off or on, or Euler; a block whose
+  law is all zero takes the RK4 loop's free twin, with the same bits. A
+  subclass that keeps a built-in's law gets its bits; tests pin the sha256
+  of the output bits. droop_active is the same law over the samples.
 * A non-finite state is reported as the first non-finite output sample.
 * The fleet's split of the law, per_ffr_power, is allocated on its first
   read, from the trace's own omega and droop_active; simulate checks only
@@ -42,7 +43,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 
 import numpy as np
 
@@ -180,9 +180,10 @@ def simulate(model: SystemModel, event: ImbalanceEvent, controller: Controller,
     # estimate, do not compile the loops at start-up
     from . import kernels
 
-    step = (kernels.rk4_governed if gov.enabled else kernels.rk4) if rk4 else kernels.euler
-    step(chain.from_iterable(_substeps(controller, plan, elapsed, i_first)),
-         omega, gov_series, float(event.delta_pf), t_j, g, tg)
+    loops = (((kernels.rk4_governed, kernels.rk4_governed_free) if gov.enabled
+              else (kernels.rk4, kernels.rk4_free)) if rk4 else (kernels.euler, None))
+    _step_blocks(controller, plan, elapsed, i_first, *loops,
+                 omega, gov_series, float(event.delta_pf), t_j, g, tg)
 
     finite = np.isfinite(omega) & np.isfinite(gov_series)
     if not finite.all():
@@ -219,16 +220,18 @@ def _refuse_negative(controller: Controller, law: np.ndarray, elapsed: np.ndarra
                               "s after the onset")
 
 
-def _substeps(controller, plan, elapsed, i_first):
-    """Per block of output samples from i_first on, a zip of
-    (sample index, h, k1, km, k4) over the substeps that plan(a, b) gives
-    for the samples' steps [a, b] (a = 0 at i_first), with the controller's
-    law evaluated at once over their starts, midpoints and ends, none of
-    them negative. The first block is one sample. Each next one holds
+def _step_blocks(controller, plan, elapsed, i_first, step, free, *args):
+    """Step the state, zero at i_first, through the substeps that plan(a, b)
+    gives for the output samples' steps [a, b] (a = 0 at i_first), a block
+    of samples at a time: the controller's law is evaluated at once over the
+    block's substep starts, midpoints and ends, none of them negative, and
+    state = step(zip of (sample index, h, k1, km, k4), *args, state), or
+    free(zip of (sample index, h), ...) if free is given and that law is all
+    zero (NaN is not). The first block is one sample. Each next one holds
     _PLAN_BLOCK samples, or fewer if at the last block's substeps per sample
     that many would hold more than _PLAN_SUBSTEPS substeps, so that a stiff
     run plans a few at a time."""
-    first, n = i_first, 1
+    first, n, state = i_first, 1, (0.0, 0.0, 0.0, 0.0)
     while first < elapsed.size:
         b = elapsed[first:first + n]
         a = np.concatenate(([elapsed[first - 1] if first > i_first else 0.0], b[:-1]))
@@ -237,7 +240,12 @@ def _substeps(controller, plan, elapsed, i_first):
         times = np.concatenate((t0, t0 + 0.5 * h, t0 + h))
         law = controller.coefficients(times)
         _refuse_negative(controller, law, times)
-        yield zip((steps[owner] + first).tolist(), h.tolist(), *law.reshape(3, -1).tolist())
+        i = steps[owner] + first
+        # lists built in the call, so that none outlives its block
+        if free is None or law.any():
+            state = step(zip(i.tolist(), h.tolist(), *law.reshape(3, -1).tolist()), *args, state)
+        else:
+            state = free(zip(i.tolist(), h.tolist()), *args, state)
         first += n
         if h.size:  # only the sample at elapsed 0 plans nothing
             n = max(1, min(_PLAN_BLOCK, _PLAN_SUBSTEPS * n // h.size))

@@ -28,7 +28,7 @@ from droopinertia import (
     simulate,
     summarize,
 )
-from droopinertia import integrate
+from droopinertia import integrate, kernels
 from droopinertia.scenario import SUBCASES, default_config_path
 from conftest import make_ffrs, make_model
 
@@ -303,6 +303,46 @@ class TestDivergence:
             simulate(model, ImbalanceEvent(delta_pf, onset), controller, cfg,
                      governor=governor)
         assert err.value.sample_index == index
+
+
+class TestLoopChoice:
+    """Each plan block takes the free loop where the law it evaluated is zero
+    at every substep, and the full loop elsewhere, with the state carried
+    from block to block: the bits of the full loop alone."""
+
+    @pytest.mark.parametrize("governor", [None, GOVERNOR])
+    def test_run_that_switches_loops_gets_the_full_loop_bits(self, model, monkeypatch,
+                                                                governor):
+        rows, taken = [], []
+
+        def recording(name):
+            loop = getattr(kernels, name)
+
+            def run(substeps, *args):
+                block = list(substeps)
+                rows.extend(r + (0.0,) * (5 - len(r)) for r in block)  # the law is 0.0 there
+                taken.append((name, len(block)))
+                return loop(iter(block), *args)
+            return run
+
+        full = kernels.rk4_governed if governor else kernels.rk4
+        for name in ("rk4", "rk4_free", "rk4_governed", "rk4_governed_free"):
+            monkeypatch.setattr(kernels, name, recording(name))
+        # zero up to 1.5 s, inside the second block of 1024 samples (1026 to
+        # 2049), then 20: free blocks, then full ones
+        law = _Law(lambda elapsed: np.where(elapsed > 1.5, 20.0, 0.0))
+        event = ImbalanceEvent(-0.3)
+        trace = simulate(model, event, law, SimConfig(1e-3, 3.0), governor=governor)
+        assert {name for name, size in taken if size} == {full.__name__,
+                                                          full.__name__ + "_free"}
+
+        omega, gov_series = np.zeros(trace.omega.size), np.zeros(trace.omega.size)
+        g, tg = (governor.droop_gain, governor.time_constant) if governor else (0.0, 1.0)
+        full(iter(rows), omega, gov_series, event.delta_pf, model.total_inertia, g, tg,
+             (0.0, 0.0, 0.0, 0.0))
+        rocof = (event.delta_pf + -trace.droop_active * omega + gov_series) / model.total_inertia
+        assert _same_bits(trace.omega, omega)
+        assert _same_bits(trace.rocof, rocof)
 
 
 class TestEulerOption:
