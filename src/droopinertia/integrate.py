@@ -28,6 +28,9 @@ Numerics notes, all load-bearing:
   midpoints and ends, and a loop of the kernels module steps the state
   through them: RK4 with the governor off or on, or Euler; a block whose
   law is all zero takes the RK4 loop's free twin, with the same bits. A
+  block hands its loop no list it does not need: a step of one piece is
+  planned without a row of pieces, the samples of such steps are a range,
+  and a law with the same bits at every substep is one value repeated. A
   subclass that keeps a built-in's law gets its bits; tests pin the sha256
   of the output bits. droop_active is the same law over the samples.
 * A non-finite state is reported as the first non-finite output sample.
@@ -43,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 
@@ -227,25 +231,32 @@ def _step_blocks(controller, plan, elapsed, i_first, step, free, *args):
     block's substep starts, midpoints and ends, none of them negative, and
     state = step(zip of (sample index, h, k1, km, k4), *args, state), or
     free(zip of (sample index, h), ...) if free is given and that law is all
-    zero (NaN is not). The first block is one sample. Each next one holds
-    _PLAN_BLOCK samples, or fewer if at the last block's substeps per sample
-    that many would hold more than _PLAN_SUBSTEPS substeps, so that a stiff
-    run plans a few at a time."""
+    zero (NaN is not). The sample indices are a range when every step of the
+    block advances in one piece, and k1, km and k4 are one value repeated
+    when the law has the same bits at every substep; else each is a list,
+    built in the call, so that none outlives its block. The first block is
+    one sample. Each next one holds _PLAN_BLOCK samples, or fewer if at the
+    last block's substeps per sample that many would hold more than
+    _PLAN_SUBSTEPS substeps, so that a stiff run plans a few at a time."""
     first, n, state = i_first, 1, (0.0, 0.0, 0.0, 0.0)
     while first < elapsed.size:
         b = elapsed[first:first + n]
-        a = np.concatenate(([elapsed[first - 1] if first > i_first else 0.0], b[:-1]))
+        a = elapsed[first - 1:first - 1 + b.size] if first > i_first else np.zeros(1)
         steps = np.flatnonzero(b > a)
-        owner, t0, h = plan(a[steps], b[steps])
+        every = steps.size == b.size
+        owner, t0, h = plan(a, b) if every else plan(a[steps], b[steps])
         times = np.concatenate((t0, t0 + 0.5 * h, t0 + h))
         law = controller.coefficients(times)
         _refuse_negative(controller, law, times)
-        i = steps[owner] + first
-        # lists built in the call, so that none outlives its block
-        if free is None or law.any():
-            state = step(zip(i.tolist(), h.tolist(), *law.reshape(3, -1).tolist()), *args, state)
+        i = (range(first, first + b.size) if every and h.size == b.size
+             else (steps[owner] + first).tolist())
+        if free is not None and not law.any():
+            state = free(zip(i, h.tolist()), *args, state)
         else:
-            state = free(zip(i.tolist(), h.tolist()), *args, state)
+            # the bytes compare as the bits do, -0.0 and NaN included
+            same = law.size and law.tobytes() == law[:1].tobytes() * law.size
+            k = [repeat(law.item(0))] * 3 if same else law.reshape(3, -1).tolist()
+            state = step(zip(i, h.tolist(), *k), *args, state)
         first += n
         if h.size:  # only the sample at elapsed 0 plans nothing
             n = max(1, min(_PLAN_BLOCK, _PLAN_SUBSTEPS * n // h.size))
@@ -256,6 +267,8 @@ def _uniform_plan(cap: float, a: np.ndarray, b: np.ndarray):
     [a, b] into m = ceil((b - a) / cap) equal pieces, one if b - a <= cap,
     the starts by t = t + h; owner is the step's index."""
     d = b - a
+    if (d <= cap).all():  # a row of one column accumulates to a, and d / 1 is d
+        return np.arange(a.size), a, d
     m = np.where(d <= cap, 1, np.ceil(d / cap)).astype(np.int64)
     h = d / m
     # a row per step: a, then h repeated; accumulating along the row is the
