@@ -38,9 +38,13 @@ from .scenario import (
 )
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_config(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, default=None,
                    help="scenario config JSON (default: bundled scenario)")
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    _add_config(p)
     p.add_argument("--out", type=Path, default=Path("out"),
                    help="output directory (created if missing)")
     p.add_argument("--dt", type=float, default=None,
@@ -50,7 +54,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _load(args) -> ScenarioConfig:
-    cfg = load_config(args.config if args.config is not None else default_config_path())
+    cfg = load_config(args.config or default_config_path())
     if args.dt is not None or args.duration is not None:
         cfg = replace(cfg, sim=replace(
             cfg.sim,
@@ -100,7 +104,7 @@ def _cmd_case_study(args) -> int:
 
 
 def _cmd_design_schedule(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config or default_config_path())
     if cfg.vdic_schedule is None:
         raise ConfigError("design-schedule requires the vdic_schedule block")
     saturated, band, floor = Vdic(cfg.vdic_schedule).segments()
@@ -179,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_ds = sub.add_parser("design-schedule",
                           help="print the bounded droop schedule breakpoints")
-    _add_common(p_ds)
+    _add_config(p_ds)
     p_ds.set_defaults(func=_cmd_design_schedule)
 
     p_est = sub.add_parser("estimate",

@@ -73,8 +73,7 @@ def _shortest(bits: np.ndarray):
     # drop the most digits that leave a decimal in the interval (vm, vp]
     # (16, 8, 4, 2 and 1 at a time), and round to nearest on the first one
     removed = np.zeros_like(vr)
-    steps = (16, 8, 4, 2, 1) if (vp // _POW10[4] > vm // _POW10[4]).any() else (2, 1)
-    for k in steps:
+    for k in (16, 8, 4, 2, 1):
         pk, mk = vp // _POW10[k], vm // _POW10[k]
         step = pk > mk
         if step.any():

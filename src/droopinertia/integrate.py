@@ -23,10 +23,10 @@ Numerics notes, all load-bearing:
   stability bound, k the law's peak over the samples.
 * Every controller takes one path: plan, evaluate, step. For a block of
   output samples numpy plans the substeps (_vdic_plan for a law whose
-  segments() are saturated, 1/t band and floor, as a Vdic's are, else
-  _uniform_plan), controller.coefficients is evaluated over their starts,
-  midpoints and ends, and a loop of the kernels module steps the state
-  through them: RK4 with the governor off or on, or Euler; a block whose
+  segments() are saturated, 1/t band and floor, as a Vdic's are, a last
+  unfinished step in scalar form; else _uniform_plan),
+  controller.coefficients is evaluated over their starts, midpoints and
+  ends, and a loop of the kernels module steps the state through them: RK4 with the governor off or on, or Euler; a block whose
   law is all zero takes the RK4 loop's free twin, with the same bits. A
   block hands its loop no list it does not need: a step of one piece is
   planned without a row of pieces, the samples of such steps are a range,
@@ -65,7 +65,6 @@ _ALLOCATION_CHUNK = 2048
 # once, and the substeps a block is sized to hold when a sample has several
 _PLAN_BLOCK = 1024
 _PLAN_SUBSTEPS = 8192
-_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -226,40 +225,37 @@ def _refuse_negative(controller: Controller, law: np.ndarray, elapsed: np.ndarra
 
 def _step_blocks(controller, plan, elapsed, i_first, step, free, *args):
     """Step the state, zero at i_first, through the substeps that plan(a, b)
-    gives for the output samples' steps [a, b] (a = 0 at i_first), a block
-    of samples at a time: the controller's law is evaluated at once over the
-    block's substep starts, midpoints and ends, none of them negative, and
-    state = step(zip of (sample index, h, k1, km, k4), *args, state), or
-    free(zip of (sample index, h), ...) if free is given and that law is all
-    zero (NaN is not). The sample indices are a range when every step of the
-    block advances in one piece, and k1, km and k4 are one value repeated
-    when the law has the same bits at every substep; else each is a list,
-    built in the call, so that none outlives its block. The first block is
-    one sample. Each next one holds _PLAN_BLOCK samples, or fewer if at the
-    last block's substeps per sample that many would hold more than
+    gives for the steps [a, b] of the samples after elapsed 0 (a = 0 at the
+    first), a block of samples at a time: the controller's law is evaluated
+    at once over the block's substep starts, midpoints and ends, none of
+    them negative, and state = step(zip of (sample index, h, k1, km, k4),
+    *args, state), or free(zip of (sample index, h), ...) if free is given
+    and that law is all zero (NaN is not). The sample indices are a range when every step of the
+    block is one piece, and k1, km and k4 are one value repeated when the
+    law has the same bits at every substep; else each is a list, built in
+    the call, so that none outlives its block. The first block is one
+    sample. Each next one holds _PLAN_BLOCK samples, or fewer if at the last
+    block's substeps per sample that many would hold more than
     _PLAN_SUBSTEPS substeps, so that a stiff run plans a few at a time."""
-    first, n, state = i_first, 1, (0.0, 0.0, 0.0, 0.0)
+    first, n = int(np.searchsorted(elapsed, 0.0, side="right")), 1
+    state = (0.0, 0.0, 0.0, 0.0)
     while first < elapsed.size:
         b = elapsed[first:first + n]
         a = elapsed[first - 1:first - 1 + b.size] if first > i_first else np.zeros(1)
-        steps = np.flatnonzero(b > a)
-        every = steps.size == b.size
-        owner, t0, h = plan(a, b) if every else plan(a[steps], b[steps])
+        owner, t0, h = plan(a, b)
         times = np.concatenate((t0, t0 + 0.5 * h, t0 + h))
         law = controller.coefficients(times)
         _refuse_negative(controller, law, times)
-        i = (range(first, first + b.size) if every and h.size == b.size
-             else (steps[owner] + first).tolist())
+        i = range(first, first + b.size) if h.size == b.size else (owner + first).tolist()
         if free is not None and not law.any():
             state = free(zip(i, h.tolist()), *args, state)
         else:
             # the bytes compare as the bits do, -0.0 and NaN included
-            same = law.size and law.tobytes() == law[:1].tobytes() * law.size
+            same = law.tobytes() == law[:1].tobytes() * law.size
             k = [repeat(law.item(0))] * 3 if same else law.reshape(3, -1).tolist()
             state = step(zip(i, h.tolist(), *k), *args, state)
         first += n
-        if h.size:  # only the sample at elapsed 0 plans nothing
-            n = max(1, min(_PLAN_BLOCK, _PLAN_SUBSTEPS * n // h.size))
+        n = max(1, min(_PLAN_BLOCK, _PLAN_SUBSTEPS * n // h.size))
 
 
 def _uniform_plan(cap: float, a: np.ndarray, b: np.ndarray):
@@ -289,36 +285,17 @@ def _vdic_plan(t_sat: float, t_floor: float, cap_sat: float, cap_floor: float,
     fraction q of elapsed time in the 1/t band; a piece leaving less than
     1e-15 * b of its step takes the rest.
 
-    Each round plans, for every step not yet covered, its run of whole band
-    pieces q * t, then one piece by the rules above. As q is 1/8, q * t is
-    exact and t + q * t rounds as t * (1 + q) does, so one
-    multiply.accumulate gives the starts of a run however long it is."""
+    While more than one step is unfinished, each round plans the next piece
+    of every one of them at once; _vdic_pieces, the same rule in scalar
+    form, finishes a step left alone."""
     owner, t, parts = np.arange(a.size), a, []
     while True:
+        if owner.size == 1:
+            start, length = map(np.array, zip(*_vdic_pieces(
+                t_sat, t_floor, cap_sat, cap_floor, q, t.item(0), b.item(0))))
+            parts.append((np.repeat(owner, start.size), start, length))
+            break
         rest = b - t
-        # the steps whose next piece is a whole band piece: within the band
-        # and the step, leaving more than the tail, and of a t large enough
-        # that q * t is exact; none if no step has room for q times its t
-        whole = rest.size and q * t.min() <= rest.max() and (
-            (t >= max(t_sat, 8.0 * _TINY)) & (q * t <= t_floor - t) & (q * t <= rest)
-            & (b - t * (1.0 + q) >= 1e-15 * b))
-        if np.any(whole):
-            i = np.flatnonzero(whole)
-            t_i, b_i = t[i], b[i][:, None]
-            # the pieces up to the first cut, at b or at t_floor, plus one
-            width = 2 + int(np.log(np.minimum(b_i[:, 0], t_floor) / t_i).max() / math.log1p(q))
-            rows = np.empty((i.size, min(width, _PLAN_SUBSTEPS // i.size + 2)))
-            rows[:, 0] = t_i
-            rows[:, 1:] = 1.0 + q
-            s = np.multiply.accumulate(rows, axis=1)
-            s0, s1 = s[:, :-1], s[:, 1:]
-            run = np.logical_and.accumulate((q * s0 <= t_floor - s0) & (q * s0 <= b_i - s0)
-                                            & (b_i - s1 >= 1e-15 * b_i), axis=1)
-            pieces = run.sum(axis=1)
-            parts.append((np.repeat(owner[i], pieces), s0[run], q * s0[run]))
-            t = t.copy()
-            t[i] = s[np.arange(i.size), pieces]
-            rest = b - t
         h = np.minimum(rest, np.where(t < t_sat, np.minimum(t_sat - t, cap_sat),
                                       np.where(t < t_floor, np.minimum(t_floor - t, q * t),
                                                cap_floor)))
@@ -329,11 +306,28 @@ def _vdic_plan(t_sat: float, t_floor: float, cap_sat: float, cap_floor: float,
         owner, t, b = owner[more], t[more], b[more]
         if not owner.size:
             break
-    if len(parts) == 1:  # one piece per step, already in order
+    if len(parts) == 1:  # one round, or one step, already in order
         return parts[0]
     owner, start, length = map(np.concatenate, zip(*parts))
     order = np.argsort(owner, kind="stable")  # a step's pieces stay in round order
     return owner[order], start[order], length[order]
+
+
+def _vdic_pieces(t_sat: float, t_floor: float, cap_sat: float, cap_floor: float,
+                 q: float, t: float, b: float):
+    """(start, length) of the substeps covering the rest [t, b] of one step,
+    by the rule of _vdic_plan's rounds, case for case."""
+    while t < b:
+        if t < t_sat:
+            h = min(b - t, t_sat - t, cap_sat)
+        elif t < t_floor:
+            h = min(b - t, t_floor - t, q * t)
+        else:
+            h = min(b - t, cap_floor)
+        if b - (t + h) < 1e-15 * b:
+            h = b - t
+        yield t, h
+        t = t + h
 
 
 def _assemble_trace(model, event, times, i_first, droop_active, peak, omega,

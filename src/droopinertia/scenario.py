@@ -28,7 +28,7 @@ from .controllers import (
 from . import csvblock
 from .errors import ConfigError, ValidationError
 from .model import (FfrSpec, GeneratorSpec, ImbalanceEvent, SimConfig, SystemModel,
-                    _require_finite, _require_label)
+                    _require_finite, _require_label, _require_positive)
 from .integrate import Trace, simulate
 
 SUBCASES = ("no_control", "added_inertia", "constant_droop", "vdic")
@@ -219,6 +219,8 @@ def load_config(path: str | Path) -> ScenarioConfig:
         droop_sec = _section(doc, "constant_droop", "k_total_pu", required=False)
         k_total = None if droop_sec is None else _require_finite(
             "constant_droop.k_total_pu", _get(droop_sec, "k_total_pu", "constant_droop"))
+        if k_total is not None and k_total < 0.0:
+            raise ConfigError(f"{path}: constant_droop.k_total_pu must be >= 0, got {k_total!r}")
 
         sched_sec = _section(doc, "vdic_schedule",
                              "target_inertia_s upper_bound_pu lower_bound_pu", required=False)
@@ -229,7 +231,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
         )
 
         added_sec = _section(doc, "added_inertia", "delta_tj_s", required=False)
-        added = None if added_sec is None else _require_finite(
+        added = None if added_sec is None else _require_positive(
             "added_inertia.delta_tj_s", _get(added_sec, "delta_tj_s", "added_inertia"))
 
         return ScenarioConfig(

@@ -90,6 +90,19 @@ class TestClosedFormConstantInertia:
         assert closed_form_omega_constant_inertia(-0.3, T_J, 40.0, 0.0) == 0.0
 
 
+
+@pytest.mark.parametrize("form", [
+    lambda elapsed: closed_form_omega_constant_droop(-0.3, 32.0, T_J, elapsed),
+    lambda elapsed: equivalent_inertia_constant_droop(32.0, T_J, elapsed),
+    lambda elapsed: closed_form_omega_constant_inertia(-0.3, T_J, 40.0, elapsed),
+], ids=["omega_constant_droop", "inertia_constant_droop", "omega_constant_inertia"])
+@pytest.mark.parametrize("elapsed", [-1e-3, np.array([0.0, 1.0, -1e-300])],
+                         ids=["scalar", "array"])
+def test_closed_forms_refuse_negative_elapsed(form, elapsed):
+    with pytest.raises(ValidationError, match="elapsed must be >= 0"):
+        form(elapsed)
+
+
 class TestUnboundedSchedule:
     """Bounds far outside the band leave the pure delta_tj / elapsed law."""
 

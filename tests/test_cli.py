@@ -151,6 +151,20 @@ class TestSimulateCommand:
         assert err.startswith(f"error: unknown field {field}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("path, value", [(("constant_droop", "k_total_pu"), -5),
+                                             (("added_inertia", "delta_tj_s"), -1)])
+    def test_block_of_another_subcase_exits_2(self, tmp_path, capsys, path, value):
+        # the bundled subcase is vdic, which reads neither block
+        code, err = _simulate_edited(tmp_path, capsys, path, value)
+        assert code == 2
+        assert err.startswith(f"error: {tmp_path / 'bad.json'}: {'.'.join(path)} must be")
+
+    def test_unreadable_config_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code = run_cli("simulate", "--config", str(missing), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read config {missing}: ")
+
     @pytest.mark.parametrize("block", OPTIONAL_BLOCKS)
     def test_optional_block_not_an_object_exits_2(self, tmp_path, capsys, block):
         doc = json.loads(default_config_path().read_text())
@@ -207,6 +221,23 @@ class TestDesignScheduleCommand:
             "  ]\n"
             "}\n"
         )
+
+    @pytest.mark.parametrize("option", ["--out", "--dt", "--duration"])
+    def test_takes_only_config(self, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("design-schedule", option, "100")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} 100" in capsys.readouterr().err
+
+    def test_needs_the_schedule_block(self, tmp_path, capsys):
+        doc = json.loads(default_config_path().read_text())
+        del doc["vdic_schedule"]
+        doc["subcase"] = "constant_droop"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_cli("design-schedule", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == (
+            "error: design-schedule requires the vdic_schedule block\n")
 
 
 class TestEstimateCommand:

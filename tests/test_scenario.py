@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from droopinertia import (
     ConfigError,
     GovernorSpec,
     ImbalanceEvent,
+    NoControl,
     ScenarioConfig,
     SimConfig,
     ValidationError,
@@ -19,6 +21,7 @@ from droopinertia import (
     read_trace_csv,
     run_case_study,
     run_subcase,
+    simulate,
     summarize,
 )
 
@@ -92,6 +95,30 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="system_base_mva"):
             load_config(write_config(tmp_path, doc))
 
+    def test_unreadable_path_named(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        with pytest.raises(ConfigError, match=f"cannot read config {re.escape(str(missing))}"):
+            load_config(missing)
+
+    def test_top_level_array_refused(self, tmp_path):
+        path = write_config(tmp_path, [base_doc()])
+        with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: top level must be "
+                                              "a JSON object"):
+            load_config(path)
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("constant_droop", "k_total_pu", -5.0),
+        ("added_inertia", "delta_tj_s", -1.0),
+        ("added_inertia", "delta_tj_s", 0.0),
+    ])
+    def test_block_of_another_subcase_checked(self, tmp_path, block, key, value):
+        # the bundled subcase is vdic, which reads neither block
+        doc = base_doc()
+        doc[block][key] = value
+        path = write_config(tmp_path, doc)
+        with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: {block}.{key} must be"):
+            load_config(path)
+
     def test_unsupported_schema_version(self, tmp_path):
         doc = base_doc()
         doc["schema_version"] = 99
@@ -132,6 +159,13 @@ class TestScenarioConfigValidation:
 
 
 class TestRunSubcase:
+    def test_summarize_needs_post_onset_samples(self):
+        # an onset on the last sample leaves no step after it
+        trace = simulate(make_model(), ImbalanceEvent(-0.3, onset_time=1.0), NoControl(),
+                         SimConfig(time_step=1e-2, duration=1.0))
+        with pytest.raises(ValidationError, match="no post-onset samples to summarize"):
+            summarize(trace)
+
     def test_no_control_initial_rocof(self):
         _, metrics = run_subcase(quiet_config("no_control"))
         assert metrics.initial_rocof == pytest.approx(-0.3 / 39.2, rel=1e-9)

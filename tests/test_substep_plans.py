@@ -1,12 +1,19 @@
 """The integrator's vectorised substep plans against the scalar generators in
 oracles.py: owner, start and length bit for bit, over seeded draws of
 inexact breakpoints, stiff multi-piece caps, coarse steps with many
-1/t-band pieces, and steps that end a few ulps past a cut (the tail rule)."""
+1/t-band pieces, and steps that end a few ulps past a cut (the tail rule).
+A VDIC plan applies its rule in numpy rounds while two or more steps are
+unfinished and in scalar form to the last one left; three block shapes
+reach the scalar form at once, after the rounds, and never.
+
+check_plans(n) runs every seeded check over seeds 0 .. n - 1."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from droopinertia import DroopSchedule, Vdic
+from droopinertia import DroopSchedule, Vdic, integrate
 from droopinertia.integrate import (_BAND_STEP_FRACTION as Q, _SAT_STEP_LIMIT, _uniform_plan,
                                     _vdic_plan)
 from oracles import uniform_pieces, vdic_pieces
@@ -142,3 +149,90 @@ def test_no_steps_plan_nothing():
     for plan in (_uniform_plan(1.0, empty, empty),
                  _vdic_plan(*vdic_args(40.0, 128.0, 32.0, 39.2), empty, empty)):
         assert [x.size for x in plan] == [0, 0, 0]
+
+
+def long_steps(seed):
+    """(t_sat, t_floor, cap_sat, cap_floor, q) with 110 to 130 band pieces
+    between the crossovers and q not always 1/8, a start lo in the
+    saturated segment, and the ends of steps [lo, end] that each finish 1 to
+    3 ulps past the third floor piece, so that the tail rule takes the rest."""
+    rng = np.random.default_rng(seed)
+    q = (Q, 0.1, 0.3)[seed % 3]
+    t_sat = rng.uniform(1e-5, 1e-4)
+    t_floor = t_sat * (1.0 + q) ** rng.uniform(110.0, 130.0)
+    args = (t_sat, t_floor, t_sat / rng.uniform(1.5, 5.0), t_floor * rng.uniform(0.01, 0.1), q)
+    lo = rng.uniform(0.0, 0.5) * t_sat
+    floor = [(t, h) for t, h in vdic_pieces(*args, lo, 2.0 * t_floor) if t >= t_floor]
+    end = floor[2][0] + floor[2][1]
+    return args, lo, np.array([end + k * np.spacing(end) for k in (1, 2, 3)])
+
+
+def check_rule_cases(args, a, b):
+    """Check _vdic_plan on the steps [a, b], assert its pieces hold a cut at
+    t_sat, a cut at t_floor and a floor piece the tail rule lengthened past
+    cap_floor, and return the owners and the pieces each call of the scalar
+    _vdic_pieces gave."""
+    t_sat, t_floor, _, cap_floor, _ = args
+    real, scalar = integrate._vdic_pieces, []
+
+    def counted(*call):
+        pieces = list(real(*call))
+        scalar.append(len(pieces))
+        return iter(pieces)
+
+    with mock.patch.object(integrate, "_vdic_pieces", counted):
+        check(_vdic_plan, vdic_pieces, args, a, b)
+    owner, start, length = reference(lambda lo, hi: vdic_pieces(*args, lo, hi), a, b)
+    assert (length == t_sat - start).any()
+    assert (length == t_floor - start).any()
+    assert (length[start >= t_floor] > cap_floor).any()
+    return owner, scalar
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_one_step_goes_to_the_scalar_rule(seed):
+    args, lo, ends = long_steps(seed)
+    owner, scalar = check_rule_cases(args, np.array([lo]), ends[:1])
+    assert scalar == [owner.size]
+    starts = np.array([t for t, _ in vdic_pieces(*args, lo, ends[0])])
+    assert ((starts >= args[0]) & (starts < args[1])).sum() >= 100
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rounds_leave_one_long_step(seed):
+    # a step ending in the band beside a long one: once it is done, the long
+    # one's last 30 or more pieces come from the scalar rule
+    args, lo, ends = long_steps(seed)
+    short = args[0] * np.random.default_rng(seed).uniform(1.5, 4.0)
+    owner, scalar = check_rule_cases(args, np.array([lo, lo]), np.array([short, ends[1]]))
+    pieces = np.bincount(owner)
+    assert len(scalar) == 1 and scalar[0] == pieces[1] - pieces[0] >= 30
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_steps_finishing_together_stay_in_the_rounds(seed):
+    # the three steps differ only in the ulps past their last cut, so they
+    # take the same pieces and finish in the same round
+    args, lo, ends = long_steps(seed)
+    owner, scalar = check_rule_cases(args, np.full(ends.size, lo), ends)
+    assert scalar == []
+    assert np.bincount(owner).min() >= 30
+
+
+SEEDED = (test_vdic_inexact_breakpoints, test_stiff_multi_piece_caps,
+          test_coarse_steps_many_band_pieces, test_tail_rule, test_uniform_plan_grid,
+          test_one_step_goes_to_the_scalar_rule, test_rounds_leave_one_long_step,
+          test_steps_finishing_together_stay_in_the_rounds)
+
+
+def check_plans(n: int) -> None:
+    """Run every seeded check of this file over seeds 0 .. n - 1, and assert
+    that none failed; tier-1 runs len(SEEDS) of them."""
+    failed = []
+    for seed in range(n):
+        for seeded in SEEDED:
+            try:
+                seeded(seed)
+            except AssertionError:
+                failed.append(f"{seeded.__name__}[{seed}]")
+    assert not failed, failed

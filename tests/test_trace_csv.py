@@ -237,6 +237,14 @@ class TestMalformedTraceExits2:
         with pytest.raises(ValidationError, match="line 3: t does not increase"):
             read_trace_csv(bad)
 
+    def test_wrong_fixed_header(self, bundled_trace, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        _edit(bundled_trace, bad, 1, lambda row: row.replace("rocof", "dfdt"))
+        assert cli.main(["estimate", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: unexpected trace header ")
+        assert "'dfdt'" in err
+
     def test_too_few_rows(self, bundled_trace, tmp_path):
         bad = tmp_path / "bad.csv"
         lines = bundled_trace.read_text().splitlines(keepends=True)
