@@ -23,16 +23,17 @@ Numerics notes, all load-bearing:
   stability bound, k the law's peak over the samples.
 * Every controller takes one path: plan, evaluate, step. For a block of
   output samples numpy plans the substeps (_vdic_plan for a law whose
-  segments() are saturated, 1/t band and floor, as a Vdic's are, a last
-  unfinished step in scalar form; else _uniform_plan),
-  controller.coefficients is evaluated over their starts, midpoints and
-  ends, and a loop of the kernels module steps the state through them: RK4 with the governor off or on, or Euler; a block whose
-  law is all zero takes the RK4 loop's free twin, with the same bits. A
-  block hands its loop no list it does not need: a step of one piece is
-  planned without a row of pieces, the samples of such steps are a range,
-  and a law with the same bits at every substep is one value repeated. A
-  subclass that keeps a built-in's law gets its bits; tests pin the sha256
-  of the output bits. droop_active is the same law over the samples.
+  segments() are saturated, 1/t band and floor, as a Vdic's are, the last
+  unfinished step in scalar form; else _uniform_plan), the law is
+  evaluated over their starts, midpoints and ends, and a loop of the
+  kernels module steps the state through them: RK4 with the governor off
+  or on, or Euler; a block whose law is all zero takes the RK4 loop's free
+  twin, with the same bits. A block hands its loop no list it does not
+  need: a step of one piece is planned without a row of pieces, the
+  samples of such steps are a range, and a law with the same bits at every
+  substep is one value repeated. A subclass that keeps a built-in's law
+  gets its bits; tests pin the sha256 of the output bits. droop_active is
+  the same law over the samples.
 * A non-finite state is reported as the first non-finite output sample.
 * The fleet's split of the law, per_ffr_power, is allocated on its first
   read, from the trace's own omega and droop_active; simulate checks only
@@ -230,13 +231,13 @@ def _step_blocks(controller, plan, elapsed, i_first, step, free, *args):
     at once over the block's substep starts, midpoints and ends, none of
     them negative, and state = step(zip of (sample index, h, k1, km, k4),
     *args, state), or free(zip of (sample index, h), ...) if free is given
-    and that law is all zero (NaN is not). The sample indices are a range when every step of the
-    block is one piece, and k1, km and k4 are one value repeated when the
-    law has the same bits at every substep; else each is a list, built in
-    the call, so that none outlives its block. The first block is one
-    sample. Each next one holds _PLAN_BLOCK samples, or fewer if at the last
-    block's substeps per sample that many would hold more than
-    _PLAN_SUBSTEPS substeps, so that a stiff run plans a few at a time."""
+    and that law is all zero (NaN is not). The sample indices are a range
+    when every step of the block is one piece, and k1, km and k4 are one
+    value repeated when the law has the same bits at every substep; else
+    each is a list, built in the call, so that none outlives its block.
+    The first block is one sample, each next one _PLAN_BLOCK, or fewer if
+    at the last block's substeps per sample that would exceed
+    _PLAN_SUBSTEPS substeps: a stiff run plans a few at a time."""
     first, n = int(np.searchsorted(elapsed, 0.0, side="right")), 1
     state = (0.0, 0.0, 0.0, 0.0)
     while first < elapsed.size:
@@ -283,7 +284,7 @@ def _vdic_plan(t_sat: float, t_floor: float, cap_sat: float, cap_floor: float,
     [a, b] under a bounded VDIC schedule, owner the step's index: cut at the
     clamp crossovers, capped in the saturated and floor segments, the
     fraction q of elapsed time in the 1/t band; a piece leaving less than
-    1e-15 * b of its step takes the rest.
+    1e-15 * b of its step takes the rest, and ends the step at b.
 
     While more than one step is unfinished, each round plans the next piece
     of every one of them at once; _vdic_pieces, the same rule in scalar
@@ -299,9 +300,9 @@ def _vdic_plan(t_sat: float, t_floor: float, cap_sat: float, cap_floor: float,
         h = np.minimum(rest, np.where(t < t_sat, np.minimum(t_sat - t, cap_sat),
                                       np.where(t < t_floor, np.minimum(t_floor - t, q * t),
                                                cap_floor)))
-        h = np.where(b - (t + h) < 1e-15 * b, rest, h)
-        parts.append((owner, t, h))
-        t = t + h
+        tail = b - (t + h) < 1e-15 * b
+        parts.append((owner, t, np.where(tail, rest, h)))
+        t = np.where(tail, b, t + h)
         more = t < b
         owner, t, b = owner[more], t[more], b[more]
         if not owner.size:
@@ -324,10 +325,9 @@ def _vdic_pieces(t_sat: float, t_floor: float, cap_sat: float, cap_floor: float,
             h = min(b - t, t_floor - t, q * t)
         else:
             h = min(b - t, cap_floor)
-        if b - (t + h) < 1e-15 * b:
-            h = b - t
-        yield t, h
-        t = t + h
+        tail = b - (t + h) < 1e-15 * b
+        yield t, b - t if tail else h
+        t = b if tail else t + h
 
 
 def _assemble_trace(model, event, times, i_first, droop_active, peak, omega,

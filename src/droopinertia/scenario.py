@@ -220,7 +220,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
         k_total = None if droop_sec is None else _require_finite(
             "constant_droop.k_total_pu", _get(droop_sec, "k_total_pu", "constant_droop"))
         if k_total is not None and k_total < 0.0:
-            raise ConfigError(f"{path}: constant_droop.k_total_pu must be >= 0, got {k_total!r}")
+            raise ValidationError(f"constant_droop.k_total_pu must be >= 0, got {k_total!r}")
 
         sched_sec = _section(doc, "vdic_schedule",
                              "target_inertia_s upper_bound_pu lower_bound_pu", required=False)

@@ -51,7 +51,8 @@ def vdic_pieces(t_sat: float, t_floor: float, cap_sat: float, cap_floor: float,
                 q: float, a: float, b: float):
     """(start, length) substeps covering [a, b] under a bounded VDIC schedule:
     cut at the clamp crossovers, capped in the saturated and floor segments,
-    the fraction q of elapsed time in the 1/t band."""
+    the fraction q of elapsed time in the 1/t band; a piece leaving less
+    than 1e-15 * b of [a, b] takes the rest, and ends the step at b."""
     t = a
     while t < b:
         if t < t_sat:
@@ -60,7 +61,6 @@ def vdic_pieces(t_sat: float, t_floor: float, cap_sat: float, cap_floor: float,
             h = min(b - t, t_floor - t, q * t)
         else:
             h = min(b - t, cap_floor)
-        if b - (t + h) < 1e-15 * b:
-            h = b - t
-        yield t, h
-        t = t + h
+        tail = b - (t + h) < 1e-15 * b
+        yield t, b - t if tail else h
+        t = b if tail else t + h

@@ -126,6 +126,23 @@ def test_tail_rule(seed):
     assert (pieces[:, ulps >= 10] == 2).all()
 
 
+def test_tail_piece_ends_its_step():
+    # floor steps one cap and 1 to 3 ulps long whose rest b - a rounds, so
+    # that a + (b - a) falls short of b: the piece the tail rule lengthens
+    # still ends its step, in the rounds and in the scalar rule alike
+    rng = np.random.default_rng(0)
+    args = (0.5, 1.0, 0.1, 8.0, Q)
+    a = rng.uniform(1.0, 7.0, 1000)
+    b = a + 8.0
+    b += rng.integers(1, 4, a.size) * np.spacing(b)
+    short = a + (b - a) < b
+    a, b = a[short], b[short]
+    assert a.size >= 10
+    for lo, hi in [(a, b)] + [(a[i:i + 1], b[i:i + 1]) for i in range(10)]:
+        owner = check(_vdic_plan, vdic_pieces, args, lo, hi)
+        assert (np.bincount(owner) == 1).all()
+
+
 def test_subnormal_band_starts():
     # below 8 times the smallest normal float, q * t rounds, and t + q * t
     # no longer rounds as t * (1 + q) does
