@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .integrate import Trace
+from .integrate import Trace, _onset_index
 
 #: below this |delta_pf + delta_pr| the equivalent inertia is unbounded
 #: (regulation fully offsets the imbalance) and estimates are flagged invalid
@@ -46,8 +46,9 @@ def estimate_from_trace(trace: Trace, t_j: float, delta_pf: float) -> InertiaEst
     """
     if delta_pf == 0.0 or not math.isfinite(delta_pf):
         raise ValidationError(f"delta_pf must be finite and nonzero, got {delta_pf}")
-    post = trace.sample_times >= trace.onset_time
-    if not post.any():
+    t = trace.sample_times
+    i_on = _onset_index(t, trace.onset_time, trace.time_step)
+    if i_on == t.size:
         raise ValidationError("trace has no post-onset samples to estimate from")
     residual = delta_pf + trace.ffr_power
     conditioned = np.abs(residual) >= CONDITIONING_FLOOR
@@ -56,10 +57,11 @@ def estimate_from_trace(trace: Trace, t_j: float, delta_pf: float) -> InertiaEst
         -t_j * trace.ffr_power / np.where(conditioned, residual, 1.0),
         math.inf,
     )
+    conditioned[:i_on] = False  # so it is the valid mask
     return InertiaEstimate(
-        sample_times=trace.sample_times,
+        sample_times=t,
         delta_tj=delta_tj,
-        valid_mask=post & conditioned,
+        valid_mask=conditioned,
     )
 
 

@@ -23,6 +23,7 @@ import numpy as np
 from .analytics import estimate_from_trace
 from .controllers import Vdic
 from .errors import ConfigError, SimulationDivergedError, ValidationError
+from .integrate import _onset_index
 from .scenario import (
     SUBCASES,
     ScenarioConfig,
@@ -126,14 +127,19 @@ def _cmd_design_schedule(args) -> int:
 
 def _check_provenance(trace, cfg: ScenarioConfig, path: Path) -> None:
     """Refuse a trace that cfg did not produce, naming the field: its step
-    and its onset must be cfg's within 1e-9 * dt, and, for an onset on the
-    grid, where omega is 0, its rocof there must be delta_pf over the
-    simulated total inertia exactly."""
+    and its onset must be cfg's within 1e-9 * dt, its row count that of
+    simulate's grid, and, for an onset on the grid, where omega is 0, its
+    rocof there must be delta_pf over the simulated total inertia exactly."""
     dt, onset, t = cfg.sim.time_step, cfg.event.onset_time, trace.sample_times
     if abs(trace.time_step - dt) > 1e-9 * dt:
         raise ValidationError(f"{path}: its step {trace.time_step!r} s is not "
                               f"sim.time_step_s {dt!r} of the config")
-    i_on = int(np.searchsorted(t, onset - 1e-9 * dt))
+    rows = round(cfg.sim.duration / dt) + 1
+    if t.size != rows:
+        raise ValidationError(f"{path}: its {t.size} rows are not the {rows} samples of "
+                              f"sim.duration_s {cfg.sim.duration!r} of the config at "
+                              f"sim.time_step_s {dt!r}")
+    i_on = _onset_index(t, onset, dt)
     if i_on == t.size or abs(trace.onset_time - t[i_on]) > 1e-9 * dt:
         raise ValidationError(f"{path}: its onset at {trace.onset_time!r} s is not "
                               f"event.onset_time_s {onset!r} of the config")

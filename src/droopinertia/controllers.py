@@ -58,7 +58,8 @@ class GovernorSpec:
 
     Modeled as a first-order lag tracking -droop_gain * omega. Disabled by
     default; enable only for case replication, never for closed-form
-    verification runs.
+    verification runs. Its gain and time constant are checked whether or
+    not it is enabled.
     """
 
     enabled: bool = False
@@ -66,9 +67,8 @@ class GovernorSpec:
     time_constant: float = 8.0
 
     def __post_init__(self):
-        if self.enabled:
-            _require_positive("GovernorSpec.droop_gain", self.droop_gain)
-            _require_positive("GovernorSpec.time_constant", self.time_constant)
+        _require_positive("GovernorSpec.droop_gain", self.droop_gain)
+        _require_positive("GovernorSpec.time_constant", self.time_constant)
 
 
 # --------------------------------------------------------------------------

@@ -116,6 +116,12 @@ class Trace:
         return self.__dict__[name]
 
 
+def _onset_index(t: np.ndarray, onset: float, dt: float) -> int:
+    """Index of the onset sample on the uniform grid t of step dt: the first
+    sample at most 1e-9 * dt before the onset, as simulate takes it."""
+    return int(np.searchsorted(t, onset - 1e-9 * dt, side="left"))
+
+
 def _roster_check(model: SystemModel, peak: float) -> None:
     if peak <= 0.0:
         return

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import partial
 from importlib import resources
 from pathlib import Path
@@ -29,7 +29,7 @@ from . import csvblock
 from .errors import ConfigError, ValidationError
 from .model import (FfrSpec, GeneratorSpec, ImbalanceEvent, SimConfig, SystemModel,
                     _require_finite, _require_label, _require_positive)
-from .integrate import Trace, simulate
+from .integrate import Trace, _onset_index, simulate
 
 SUBCASES = ("no_control", "added_inertia", "constant_droop", "vdic")
 
@@ -101,149 +101,129 @@ class SummaryMetrics:
 # config ingestion
 # --------------------------------------------------------------------------
 
-def _get(section: dict, key: str, ctx: str):
-    if key not in section:
-        raise ConfigError(f"missing field {ctx}.{key}")
-    return section[key]
-
-
-def _known(block: dict, ctx: str, fields: str) -> dict:
-    """block, once each of its keys is one of the space-separated fields."""
+def _known(block: dict, ctx: str, keys: str) -> dict:
+    """block, once each of its keys is one of the space-separated keys."""
+    allowed = keys.split()
     for key in block:
-        if key not in fields.split():
+        if key not in allowed:
             raise ConfigError(f"unknown field {ctx}.{key}")
     return block
 
 
-def _section(doc: dict, key: str, fields: str, required: bool = True) -> dict | None:
-    """The object doc[key], holding only the given fields; None for an
-    optional block that is absent."""
-    if not required and key not in doc:
-        return None
-    block = _get(doc, key, "config")
-    if not isinstance(block, dict):
-        raise ConfigError(f"config.{key} must be an object")
-    return _known(block, key, fields)
+def _build(cls, block: dict, ctx: str, keys: str, **checks):
+    """cls from the JSON object block, whose keys, space-separated in the
+    order of cls's fields, are at once the block's allow-list and its reads.
+    A key present passes its value, through checks[key](name, value) if
+    given; a key absent leaves its field's default, and is refused if the
+    field has none."""
+    _known(block, ctx, keys)
+    args = {}
+    for key, field in zip(keys.split(), fields(cls)):
+        if key in block:
+            check = checks.get(key)
+            args[field.name] = block[key] if check is None else check(f"{ctx}.{key}", block[key])
+        elif field.default is MISSING:
+            raise ConfigError(f"missing field {ctx}.{key}")
+    return cls(**args)
 
 
-def _entries(items, ctx: str, fields: str) -> list[dict]:
-    if not isinstance(items, list):
-        raise ConfigError(f"{ctx} must be a list")
-    for i, item in enumerate(items):
-        if not isinstance(item, dict):
-            raise ConfigError(f"{ctx}[{i}] must be an object")
-        _known(item, f"{ctx}[{i}]", fields)
-    return items
+def _object(name: str, value) -> tuple[dict, str]:
+    """value, if a JSON object, and the context of its fields' names: the
+    top level's blocks are named without its "config." prefix."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object")
+    return value, name.removeprefix("config.")
+
+
+def _block(cls, keys: str, **checks):
+    """A check building cls by _build from a JSON object."""
+    return lambda name, value: _build(cls, *_object(name, value), keys, **checks)
+
+
+def _entries(cls, keys: str, **checks):
+    """A check building a list of cls by _build from a JSON list of objects."""
+    entry = _block(cls, keys, **checks)
+    def build(name: str, items) -> list:
+        if not isinstance(items, list):
+            raise ConfigError(f"{name} must be a list")
+        return [entry(f"{name}[{i}]", item) for i, item in enumerate(items)]
+    return build
+
+
+def _sole(key: str, check):
+    """A check reading a JSON object of the one field key through check."""
+    def read(name: str, value):
+        block, ctx = _object(name, value)
+        if key not in _known(block, ctx, key):
+            raise ConfigError(f"missing field {ctx}.{key}")
+        return check(f"{ctx}.{key}", block[key])
+    return read
+
+
+def _require_bool(name: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _require_nonnegative(name: str, value) -> float:
+    value = _require_finite(name, value)
+    if value < 0.0:
+        raise ValidationError(f"{name} must be >= 0, got {value!r}")
+    return value
+
+
+def _unique(pairs: list) -> dict:
+    """A JSON object from its pairs, refused when a key repeats."""
+    block = {}
+    for key, value in pairs:
+        if key in block:
+            raise ValidationError(f"repeated field {key}")
+        block[key] = value
+    return block
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
     """Parse and fully validate a scenario config file.
 
     Raises ConfigError with the file name plus the offending field (or JSON
-    position for parse errors), also for a field the schema does not know.
-    All nested invariants are checked here, at load time, not when the
-    simulation starts.
+    position for parse errors), also for a field the schema does not know
+    or one that repeats. All nested invariants are checked here, at load
+    time, not when the simulation starts, whichever subcase runs. An absent
+    optional field or block takes its class's default.
     """
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique)
+        if not isinstance(doc, dict):
+            raise ValidationError("top level must be a JSON object")
+        version = doc.pop("schema_version", SCHEMA_VERSION)
+        if type(version) is not int or version != SCHEMA_VERSION:
+            raise ValidationError(f"unsupported schema_version {version!r}")
+        return _build(
+            ScenarioConfig, doc, "config",
+            "model event sim subcase governor constant_droop vdic_schedule added_inertia",
+            model=_block(SystemModel, "system_base_mva generators ffrs",
+                         generators=_entries(GeneratorSpec, "nominal_power_mva inertia_constant_s"),
+                         ffrs=_entries(FfrSpec, "id droop_upper_bound droop_optimal regulation_margin",
+                                       id=_require_label)),
+            event=_block(ImbalanceEvent, "delta_pf_pu onset_time_s"),
+            sim=_block(SimConfig, "time_step_s duration_s integrator"),
+            subcase=lambda name, value: str(value),
+            governor=_block(GovernorSpec, "enabled droop_gain_pu time_constant_s",
+                            enabled=_require_bool),
+            constant_droop=_sole("k_total_pu", _require_nonnegative),
+            vdic_schedule=_block(DroopSchedule, "target_inertia_s upper_bound_pu lower_bound_pu"),
+            added_inertia=_sole("delta_tj_s", _require_positive),
+        )
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-
-    version = doc.get("schema_version", SCHEMA_VERSION)
-    if type(version) is not int or version != SCHEMA_VERSION:
-        raise ConfigError(f"{path}: unsupported schema_version {version!r}")
-
-    try:
-        _known(doc, "config", "schema_version model event sim subcase governor "
-               "constant_droop vdic_schedule added_inertia")
-        model_sec = _section(doc, "model", "system_base_mva generators ffrs")
-        generators = [
-            GeneratorSpec(
-                nominal_power=_get(g, "nominal_power_mva", f"model.generators[{i}]"),
-                inertia_constant=_get(g, "inertia_constant_s", f"model.generators[{i}]"),
-            )
-            for i, g in enumerate(_entries(_get(model_sec, "generators", "model"),
-                                           "model.generators",
-                                           "nominal_power_mva inertia_constant_s"))
-        ]
-        ffrs = [
-            FfrSpec(
-                id=_require_label(f"model.ffrs[{i}].id", _get(f, "id", f"model.ffrs[{i}]")),
-                droop_upper_bound=_get(f, "droop_upper_bound", f"model.ffrs[{i}]"),
-                droop_optimal=_get(f, "droop_optimal", f"model.ffrs[{i}]"),
-                regulation_margin=f.get("regulation_margin", 0.0),
-            )
-            for i, f in enumerate(_entries(model_sec.get("ffrs", []), "model.ffrs",
-                                           "id droop_upper_bound droop_optimal regulation_margin"))
-        ]
-        model = SystemModel(
-            system_base=_get(model_sec, "system_base_mva", "model"),
-            generators=generators,
-            ffrs=ffrs,
-        )
-
-        event_sec = _section(doc, "event", "delta_pf_pu onset_time_s")
-        event = ImbalanceEvent(
-            delta_pf=_get(event_sec, "delta_pf_pu", "event"),
-            onset_time=event_sec.get("onset_time_s", 0.0),
-        )
-
-        sim_sec = _section(doc, "sim", "time_step_s duration_s integrator")
-        sim = SimConfig(
-            time_step=sim_sec.get("time_step_s", 1e-3),
-            duration=sim_sec.get("duration_s", 20.0),
-            integrator=sim_sec.get("integrator", "rk4"),
-        )
-
-        # an absent governor block reads as the defaults, with enabled false
-        gov_sec = _section(doc, "governor", "enabled droop_gain_pu time_constant_s",
-                           required=False) or {}
-        enabled = gov_sec.get("enabled", False)
-        if not isinstance(enabled, bool):
-            raise ConfigError(f"governor.enabled must be true or false, got {enabled!r}")
-        governor = GovernorSpec(
-            enabled=enabled,
-            droop_gain=gov_sec.get("droop_gain_pu", 25.0),
-            time_constant=gov_sec.get("time_constant_s", 8.0),
-        )
-
-        droop_sec = _section(doc, "constant_droop", "k_total_pu", required=False)
-        k_total = None if droop_sec is None else _require_finite(
-            "constant_droop.k_total_pu", _get(droop_sec, "k_total_pu", "constant_droop"))
-        if k_total is not None and k_total < 0.0:
-            raise ValidationError(f"constant_droop.k_total_pu must be >= 0, got {k_total!r}")
-
-        sched_sec = _section(doc, "vdic_schedule",
-                             "target_inertia_s upper_bound_pu lower_bound_pu", required=False)
-        schedule = None if sched_sec is None else DroopSchedule(
-            target_inertia=_get(sched_sec, "target_inertia_s", "vdic_schedule"),
-            upper_bound=_get(sched_sec, "upper_bound_pu", "vdic_schedule"),
-            lower_bound=_get(sched_sec, "lower_bound_pu", "vdic_schedule"),
-        )
-
-        added_sec = _section(doc, "added_inertia", "delta_tj_s", required=False)
-        added = None if added_sec is None else _require_positive(
-            "added_inertia.delta_tj_s", _get(added_sec, "delta_tj_s", "added_inertia"))
-
-        return ScenarioConfig(
-            model=model,
-            event=event,
-            sim=sim,
-            subcase=str(_get(doc, "subcase", "config")),
-            governor=governor,
-            k_total=k_total,
-            vdic_schedule=schedule,
-            added_inertia=added,
-        )
     except ConfigError:
         raise
     except ValidationError as exc:
@@ -275,7 +255,7 @@ def run_subcase(config: ScenarioConfig) -> tuple[Trace, SummaryMetrics]:
 def _onset_window(trace: Trace) -> tuple[int, int]:
     """Indices of the onset sample and of the sample 100 ms after it."""
     t, dt = trace.sample_times, trace.time_step
-    i_on = int(np.searchsorted(t, trace.onset_time - 1e-9 * dt, side="left"))
+    i_on = _onset_index(t, trace.onset_time, dt)
     if i_on >= t.size - 1:
         raise ValidationError("trace has no post-onset samples to summarize")
     return i_on, min(t.size - 1, i_on + max(1, round(0.1 / dt)))

@@ -14,8 +14,10 @@ from droopinertia import (
     Vdic,
     closed_form_omega_constant_droop,
     closed_form_omega_constant_inertia,
+    emit_trace_csv,
     equivalent_inertia_constant_droop,
     estimate_from_trace,
+    read_trace_csv,
     simulate,
 )
 from conftest import make_model, vdic_at
@@ -165,6 +167,20 @@ class TestEstimateFromTrace:
         pre = trace.sample_times < 1.0
         assert not est.valid_mask[pre].any()
         assert est.valid_mask[~pre].all()
+
+    @pytest.mark.parametrize("offset", [0.0, 5e-13, -5e-13])
+    def test_simulated_trace_and_its_csv_agree(self, model, tmp_path, offset):
+        # an onset within 1e-9 * dt of a sample falls on that sample, in
+        # simulate and in the onset a CSV's rocof column gives back alike
+        event = ImbalanceEvent(-0.3, onset_time=1.0 + offset)
+        trace = simulate(model, event, ConstantDroop(32.0), SimConfig(1e-3, 2.0))
+        emit_trace_csv(trace, tmp_path / "trace.csv")
+        est = estimate_from_trace(trace, T_J, -0.3)
+        back = estimate_from_trace(read_trace_csv(tmp_path / "trace.csv"), T_J, -0.3)
+        assert est.valid_mask[1000] and not est.valid_mask[999]
+        assert np.array_equal(est.sample_times, back.sample_times)
+        assert np.array_equal(est.delta_tj, back.delta_tj)
+        assert np.array_equal(est.valid_mask, back.valid_mask)
 
     def test_requires_post_onset_samples(self, model):
         event = ImbalanceEvent(-0.3, onset_time=100.0)

@@ -159,6 +159,16 @@ class TestSimulateCommand:
         assert code == 2
         assert err.startswith(f"error: {tmp_path / 'bad.json'}: {'.'.join(path)} must be")
 
+    @pytest.mark.parametrize("governor, field", [
+        ({"enabled": False, "droop_gain_pu": "x"}, "GovernorSpec.droop_gain"),
+        ({"enabled": False, "time_constant_s": -1}, "GovernorSpec.time_constant"),
+        ({"enabled": False, "droop_gain_pu": float("nan")}, "GovernorSpec.droop_gain"),
+    ], ids=["gain-string", "time_constant-negative", "gain-nan"])
+    def test_disabled_governor_checked(self, tmp_path, capsys, governor, field):
+        code, err = _simulate_edited(tmp_path, capsys, ("governor",), governor)
+        assert code == 2
+        assert err.startswith(f"error: {tmp_path / 'bad.json'}: {field} must be")
+
     def test_unreadable_config_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         code = run_cli("simulate", "--config", str(missing), "--out", str(tmp_path / "o"))
@@ -332,6 +342,18 @@ class TestEstimateRefusesAnotherConfigsTrace:
     def test_step(self, traces, tmp_path, capsys):
         self._refused(traces, tmp_path, capsys, lambda d: None, "sim.time_step_s",
                       "--dt", "0.005")
+
+    @pytest.mark.parametrize("duration", [None, "12", "20.5"])
+    def test_duration(self, tmp_path, capsys, duration):
+        # a 20 s trace, against the bundled 60 s and two other durations
+        assert run_cli("simulate", "--out", str(tmp_path / "s"),
+                       "--duration", "20", "--dt", "0.01") == 0
+        trace = tmp_path / "s" / "trace_vdic.csv"
+        extra = () if duration is None else ("--duration", duration)
+        assert run_cli("estimate", str(trace), "--out", str(tmp_path / "o"),
+                       "--dt", "0.01", *extra) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {trace}: its 2001 rows are not the ")
 
     def test_off_grid_onset_accepts_its_trace(self, tmp_path):
         # the trace's onset is then the first sample past it, where omega is

@@ -7,18 +7,24 @@ number (0, -1, NaN, ±inf), deletes a key, or adds one the schema does not
 know. Valid but extreme magnitudes are not drawn: a valid config with a tiny
 inertia or a huge droop bound needs a substep count that grows as their
 ratio, and runs for minutes, which is a matter of run time, not of checking.
+
+check_config_fuzz(n) runs the check over n examples; tier-1 runs EXAMPLES.
 """
 
 import json
 import math
+import tempfile
+from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from droopinertia import ValidationError, cli
 from droopinertia.scenario import default_config_path, load_config
 
 BUNDLED = json.loads(default_config_path().read_text())
+
+EXAMPLES = 60
 
 REPLACEMENTS = st.one_of(
     st.none(), st.booleans(), st.sampled_from([0, -1, 0.0, -1.0, math.nan, math.inf, -math.inf]),
@@ -56,16 +62,26 @@ def mutated_configs(draw):
     return doc
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(mutated_configs())
-def test_mutated_config_loads_or_is_refused(tmp_path, doc):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc))
-    try:
-        load_config(path)
-    except ValidationError:
-        pass
-    code = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "out"),
-                     "--duration", "12", "--dt", "0.01"])
-    assert code in (0, 2, 3)
+def check_config_fuzz(examples: int) -> None:
+    """Assert, over examples derandomized mutated configs, that each loads or
+    is refused with a ValidationError, and that simulate exits 0, 2 or 3."""
+
+    @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+    @given(mutated_configs())
+    def check(doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(doc))
+            try:
+                load_config(path)
+            except ValidationError:
+                pass
+            code = cli.main(["simulate", "--config", str(path), "--out", str(Path(tmp) / "out"),
+                             "--duration", "12", "--dt", "0.01"])
+            assert code in (0, 2, 3)
+
+    check()
+
+
+def test_mutated_config_loads_or_is_refused():
+    check_config_fuzz(EXAMPLES)

@@ -6,11 +6,15 @@ import pytest
 
 from droopinertia import (
     ConfigError,
+    DroopSchedule,
+    FfrSpec,
+    GeneratorSpec,
     GovernorSpec,
     ImbalanceEvent,
     NoControl,
     ScenarioConfig,
     SimConfig,
+    SystemModel,
     ValidationError,
     closed_form_omega_constant_droop,
     default_config_path,
@@ -100,6 +104,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"cannot read config {re.escape(str(missing))}"):
             load_config(missing)
 
+    def test_undecodable_file_named(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"subcase": "\xe9"}')
+        with pytest.raises(ConfigError, match=f"cannot read config {re.escape(str(path))}: "
+                                              "'utf-8' codec"):
+            load_config(path)
+
     def test_top_level_array_refused(self, tmp_path):
         path = write_config(tmp_path, [base_doc()])
         with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: top level must be "
@@ -118,6 +129,71 @@ class TestLoadConfig:
         path = write_config(tmp_path, doc)
         with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: {block}.{key} must be"):
             load_config(path)
+
+    @pytest.mark.parametrize("text, repeated, key", [
+        ('"time_step_s": 0.001,', '"time_step_s": 0.001, "time_step_s": 0.01,', "time_step_s"),
+        ('"subcase": "vdic",', '"subcase": "vdic", "subcase": "no_control",', "subcase"),
+        ('"id": "hvdc2",', '"id": "hvdc2", "id": "hvdc5",', "id"),
+    ], ids=["sim", "top-level", "ffr"])
+    def test_repeated_key_refused(self, tmp_path, text, repeated, key):
+        # json.loads alone keeps the last of two equal keys
+        path = tmp_path / "repeated.json"
+        path.write_text(default_config_path().read_text().replace(text, repeated))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: repeated field {key}$"):
+            load_config(path)
+
+    def test_absent_optional_keys_take_the_class_defaults(self, tmp_path):
+        doc = {
+            "model": {"system_base_mva": 1000.0,
+                      "generators": [{"nominal_power_mva": 1000.0, "inertia_constant_s": 39.2}],
+                      "ffrs": [{"id": "a", "droop_upper_bound": 32.0, "droop_optimal": 8.0}]},
+            "event": {"delta_pf_pu": -0.3},
+            "sim": {},
+            "subcase": "no_control",
+        }
+        cfg = load_config(write_config(tmp_path, doc))
+        assert cfg.model.ffrs == (FfrSpec("a", 32.0, 8.0),)
+        assert cfg.event == ImbalanceEvent(-0.3)
+        assert cfg.sim == SimConfig()
+        assert cfg.governor == GovernorSpec()
+        assert (cfg.k_total, cfg.vdic_schedule, cfg.added_inertia) == (None, None, None)
+        del doc["model"]["ffrs"]
+        doc["governor"] = {}
+        cfg = load_config(write_config(tmp_path, doc))
+        assert cfg.model.ffrs == ()
+        assert cfg.governor == GovernorSpec()
+
+    def test_every_key_reaches_its_field(self, tmp_path):
+        # no value is its field's default, and no two of a block are equal
+        doc = {
+            "schema_version": 1,
+            "model": {"system_base_mva": 500.0,
+                      "generators": [{"nominal_power_mva": 250.0, "inertia_constant_s": 6.0}],
+                      "ffrs": [{"id": "a", "droop_upper_bound": 30.0, "droop_optimal": 7.0,
+                                "regulation_margin": 0.5}]},
+            "event": {"delta_pf_pu": 0.2, "onset_time_s": 2.0},
+            "sim": {"time_step_s": 0.002, "duration_s": 4.0, "integrator": "euler"},
+            "subcase": "constant_droop",
+            "governor": {"enabled": True, "droop_gain_pu": 20.0, "time_constant_s": 6.5},
+            "constant_droop": {"k_total_pu": 3.0},
+            "vdic_schedule": {"target_inertia_s": 12.0, "upper_bound_pu": 90.0,
+                              "lower_bound_pu": 5.0},
+            "added_inertia": {"delta_tj_s": 11.0},
+        }
+        assert load_config(write_config(tmp_path, doc)) == ScenarioConfig(
+            model=SystemModel(
+                system_base=500.0,
+                generators=[GeneratorSpec(nominal_power=250.0, inertia_constant=6.0)],
+                ffrs=[FfrSpec(id="a", droop_upper_bound=30.0, droop_optimal=7.0,
+                              regulation_margin=0.5)]),
+            event=ImbalanceEvent(delta_pf=0.2, onset_time=2.0),
+            sim=SimConfig(time_step=0.002, duration=4.0, integrator="euler"),
+            subcase="constant_droop",
+            governor=GovernorSpec(enabled=True, droop_gain=20.0, time_constant=6.5),
+            k_total=3.0,
+            vdic_schedule=DroopSchedule(target_inertia=12.0, upper_bound=90.0, lower_bound=5.0),
+            added_inertia=11.0,
+        )
 
     def test_unsupported_schema_version(self, tmp_path):
         doc = base_doc()
