@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .integrate import Trace, _onset_index
+from .model import _require_nonnegative
 
 #: below this |delta_pf + delta_pr| the equivalent inertia is unbounded
 #: (regulation fully offsets the imbalance) and estimates are flagged invalid
@@ -65,6 +66,14 @@ def estimate_from_trace(trace: Trace, t_j: float, delta_pf: float) -> InertiaEst
     )
 
 
+def _elapsed(elapsed) -> np.ndarray:
+    """elapsed, scalar or array, as an array, refused if any of it is < 0."""
+    elapsed = np.asarray(elapsed)
+    if np.any(elapsed < 0.0):
+        raise ValidationError("elapsed must be >= 0")
+    return elapsed
+
+
 def closed_form_omega_constant_droop(delta_pf: float, k_total: float, t_j: float,
                                      elapsed) -> float | np.ndarray:
     """Frequency deviation under constant-droop regulation:
@@ -78,10 +87,8 @@ def closed_form_omega_constant_droop(delta_pf: float, k_total: float, t_j: float
             f"k_total must be > 0 (got {k_total}); the zero-droop response is "
             "the linear constant-inertia form"
         )
-    if np.any(np.asarray(elapsed) < 0.0):
-        raise ValidationError("elapsed must be >= 0")
     # -expm1 keeps the small-time limit accurate
-    return (delta_pf / k_total) * -np.expm1(-k_total * np.asarray(elapsed) / t_j)
+    return (delta_pf / k_total) * -np.expm1(-k_total * _elapsed(elapsed) / t_j)
 
 
 def equivalent_inertia_constant_droop(k_total: float, t_j: float,
@@ -92,11 +99,8 @@ def equivalent_inertia_constant_droop(k_total: float, t_j: float,
     Grows from 0 (no inertia benefit immediately after onset) without bound;
     independent of the imbalance by construction.
     """
-    if k_total < 0.0:
-        raise ValidationError(f"k_total must be >= 0, got {k_total}")
-    if np.any(np.asarray(elapsed) < 0.0):
-        raise ValidationError("elapsed must be >= 0")
-    return t_j * np.expm1(k_total * np.asarray(elapsed) / t_j)
+    _require_nonnegative("k_total", k_total)
+    return t_j * np.expm1(k_total * _elapsed(elapsed) / t_j)
 
 
 def closed_form_omega_constant_inertia(delta_pf: float, t_j: float, delta_tj: float,
@@ -105,6 +109,4 @@ def closed_form_omega_constant_inertia(delta_pf: float, t_j: float, delta_tj: fl
     the linear ramp delta_pf * elapsed / (t_j + delta_tj)."""
     if t_j + delta_tj <= 0.0:
         raise ValidationError(f"t_j + delta_tj must be > 0, got {t_j + delta_tj}")
-    if np.any(np.asarray(elapsed) < 0.0):
-        raise ValidationError("elapsed must be >= 0")
-    return delta_pf * np.asarray(elapsed) / (t_j + delta_tj)
+    return delta_pf * _elapsed(elapsed) / (t_j + delta_tj)

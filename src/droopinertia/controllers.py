@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .model import _require_finite, _require_positive
+from .model import _require_bool, _require_nonnegative, _require_positive
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,8 @@ class GovernorSpec:
 
     Modeled as a first-order lag tracking -droop_gain * omega. Disabled by
     default; enable only for case replication, never for closed-form
-    verification runs. Its gain and time constant are checked whether or
-    not it is enabled.
+    verification runs. enabled must be a bool. Its gain and time constant
+    are checked whether or not it is enabled.
     """
 
     enabled: bool = False
@@ -67,6 +67,7 @@ class GovernorSpec:
     time_constant: float = 8.0
 
     def __post_init__(self):
+        _require_bool("GovernorSpec.enabled", self.enabled)
         _require_positive("GovernorSpec.droop_gain", self.droop_gain)
         _require_positive("GovernorSpec.time_constant", self.time_constant)
 
@@ -93,10 +94,7 @@ class Controller:
 
 class ConstantDroop(Controller):
     def __init__(self, k_total: float):
-        _require_finite("k_total", k_total)
-        if k_total < 0.0:
-            raise ValidationError(f"k_total must be >= 0, got {k_total}")
-        self.k_total = float(k_total)
+        self.k_total = _require_nonnegative("k_total", k_total)
 
     def coefficients(self, elapsed: np.ndarray) -> np.ndarray:
         return np.full(elapsed.shape, self.k_total)

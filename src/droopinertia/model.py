@@ -42,6 +42,19 @@ def _require_positive(name: str, value: float) -> float:
     return float(value)
 
 
+def _require_nonnegative(name: str, value: float) -> float:
+    value = _require_finite(name, value)
+    if value < 0.0:
+        raise ValidationError(f"{name} must be >= 0, got {value!r}")
+    return value
+
+
+def _require_bool(name: str, value: bool) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """One synchronous machine contributing rotating inertia.
@@ -87,31 +100,15 @@ class FfrSpec:
                 f"FfrSpec.droop_optimal ({self.droop_optimal}) exceeds "
                 f"droop_upper_bound ({self.droop_upper_bound})"
             )
-        _require_finite("FfrSpec.regulation_margin", self.regulation_margin)
-        if self.regulation_margin < 0.0:
-            raise ValidationError(
-                f"FfrSpec.regulation_margin must be >= 0, got {self.regulation_margin}"
-            )
-
-
-def _aggregate_inertia(generators: list[GeneratorSpec] | tuple[GeneratorSpec, ...],
-                      system_base: float) -> float:
-    """Total inertia constant: sum(S_i * T_i) / system_base, in seconds.
-
-    Raises:
-        ValidationError: empty generator list or non-positive base.
-    """
-    if not generators:
-        raise ValidationError("cannot aggregate inertia of an empty generator list")
-    _require_positive("system_base", system_base)
-    return sum(g.nominal_power * g.inertia_constant for g in generators) / system_base
+        _require_nonnegative("FfrSpec.regulation_margin", self.regulation_margin)
 
 
 @dataclass(frozen=True)
 class SystemModel:
     """Aggregated grid: one bus, one frequency, lumped inertia.
 
-    total_inertia is derived from the generator roster and cached at
+    total_inertia, sum(S_i * T_i) / system_base in seconds, is derived from
+    the generator roster, which must not be empty, and cached at
     construction so repeated reads are cheap and always consistent.
     """
 
@@ -121,13 +118,15 @@ class SystemModel:
     total_inertia: float = field(init=False)
 
     def __init__(self, system_base: float, generators, ffrs=()):
-        object.__setattr__(self, "system_base",
-                           _require_finite("SystemModel.system_base", system_base))
-        object.__setattr__(self, "generators", tuple(generators))
+        system_base = _require_positive("SystemModel.system_base", system_base)
+        generators = tuple(generators)
+        if not generators:
+            raise ValidationError("cannot aggregate inertia of an empty generator list")
+        object.__setattr__(self, "system_base", system_base)
+        object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "ffrs", tuple(ffrs))
-        object.__setattr__(
-            self, "total_inertia", _aggregate_inertia(self.generators, self.system_base)
-        )
+        object.__setattr__(self, "total_inertia", sum(
+            g.nominal_power * g.inertia_constant for g in generators) / system_base)
         ids = [f.id for f in self.ffrs]
         if len(set(ids)) != len(ids):
             raise ValidationError(f"duplicate FFR ids: {ids}")
@@ -158,11 +157,7 @@ class ImbalanceEvent:
         _require_finite("ImbalanceEvent.delta_pf", self.delta_pf)
         if self.delta_pf == 0.0:
             raise ValidationError("ImbalanceEvent.delta_pf must be nonzero")
-        _require_finite("ImbalanceEvent.onset_time", self.onset_time)
-        if self.onset_time < 0.0:
-            raise ValidationError(
-                f"ImbalanceEvent.onset_time must be >= 0, got {self.onset_time}"
-            )
+        _require_nonnegative("ImbalanceEvent.onset_time", self.onset_time)
 
 
 @dataclass(frozen=True)

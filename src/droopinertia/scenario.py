@@ -28,7 +28,7 @@ from .controllers import (
 from . import csvblock
 from .errors import ConfigError, ValidationError
 from .model import (FfrSpec, GeneratorSpec, ImbalanceEvent, SimConfig, SystemModel,
-                    _require_finite, _require_label, _require_positive)
+                    _require_bool, _require_label, _require_nonnegative, _require_positive)
 from .integrate import Trace, _onset_index, simulate
 
 SUBCASES = ("no_control", "added_inertia", "constant_droop", "vdic")
@@ -106,7 +106,7 @@ def _known(block: dict, ctx: str, keys: str) -> dict:
     allowed = keys.split()
     for key in block:
         if key not in allowed:
-            raise ConfigError(f"unknown field {ctx}.{key}")
+            raise ValidationError(f"unknown field {ctx}.{key}")
     return block
 
 
@@ -123,7 +123,7 @@ def _build(cls, block: dict, ctx: str, keys: str, **checks):
             check = checks.get(key)
             args[field.name] = block[key] if check is None else check(f"{ctx}.{key}", block[key])
         elif field.default is MISSING:
-            raise ConfigError(f"missing field {ctx}.{key}")
+            raise ValidationError(f"missing field {ctx}.{key}")
     return cls(**args)
 
 
@@ -131,7 +131,7 @@ def _object(name: str, value) -> tuple[dict, str]:
     """value, if a JSON object, and the context of its fields' names: the
     top level's blocks are named without its "config." prefix."""
     if not isinstance(value, dict):
-        raise ConfigError(f"{name} must be an object")
+        raise ValidationError(f"{name} must be an object")
     return value, name.removeprefix("config.")
 
 
@@ -145,7 +145,7 @@ def _entries(cls, keys: str, **checks):
     entry = _block(cls, keys, **checks)
     def build(name: str, items) -> list:
         if not isinstance(items, list):
-            raise ConfigError(f"{name} must be a list")
+            raise ValidationError(f"{name} must be a list")
         return [entry(f"{name}[{i}]", item) for i, item in enumerate(items)]
     return build
 
@@ -155,22 +155,9 @@ def _sole(key: str, check):
     def read(name: str, value):
         block, ctx = _object(name, value)
         if key not in _known(block, ctx, key):
-            raise ConfigError(f"missing field {ctx}.{key}")
+            raise ValidationError(f"missing field {ctx}.{key}")
         return check(f"{ctx}.{key}", block[key])
     return read
-
-
-def _require_bool(name: str, value) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{name} must be true or false, got {value!r}")
-    return value
-
-
-def _require_nonnegative(name: str, value) -> float:
-    value = _require_finite(name, value)
-    if value < 0.0:
-        raise ValidationError(f"{name} must be >= 0, got {value!r}")
-    return value
 
 
 def _unique(pairs: list) -> dict:
@@ -187,10 +174,11 @@ def load_config(path: str | Path) -> ScenarioConfig:
     """Parse and fully validate a scenario config file.
 
     Raises ConfigError with the file name plus the offending field (or JSON
-    position for parse errors), also for a field the schema does not know
-    or one that repeats. All nested invariants are checked here, at load
-    time, not when the simulation starts, whichever subcase runs. An absent
-    optional field or block takes its class's default.
+    position for parse errors), also for a field the schema does not know,
+    one that repeats, or nesting too deep to parse. All nested invariants
+    are checked here, at load time, not when the simulation starts,
+    whichever subcase runs. An absent optional field or block takes its
+    class's default.
     """
     path = Path(path)
     try:
@@ -224,9 +212,7 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise ConfigError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except ConfigError:
-        raise
-    except ValidationError as exc:
+    except (ValidationError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -422,12 +408,14 @@ def read_trace_csv(path: str | Path) -> Trace:
     """
     path = Path(path)
     try:
-        with open(path, newline="") as f:
+        with open(path, newline="", encoding="utf-8") as f:
             header = f.readline().strip().split(",")
             first = f.readline().strip()
         stamp = _stamp(path)
     except OSError as exc:
         raise ValidationError(f"cannot read trace CSV {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
     if tuple(header[: len(TRACE_COLUMNS)]) != TRACE_COLUMNS:
         raise ValidationError(
             f"{path}: unexpected trace header {header[:len(TRACE_COLUMNS)]}"
@@ -474,11 +462,13 @@ def _parse_columns(path: Path, stamp: tuple[int, int], usecols: tuple[int, ...])
     file whose (size, mtime) is ``stamp`` before and after. loadtxt gets the
     path, not an open file, which it would read line by line in Python."""
     try:
-        data = (np.loadtxt(path, delimiter=",", skiprows=1, usecols=usecols, ndmin=2)
-                if _stamp(path) == stamp else None)
+        data = (np.loadtxt(path, delimiter=",", skiprows=1, usecols=usecols, ndmin=2,
+                           encoding="utf-8") if _stamp(path) == stamp else None)
         unchanged = data is not None and _stamp(path) == stamp
     except OSError as exc:
         raise ValidationError(f"cannot read trace CSV {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
     except ValueError as exc:
         raise ValidationError(f"{path}, line {_first_bad_line(path, usecols)}: {exc}") from exc
     if not unchanged:
@@ -490,18 +480,25 @@ def _parse_columns(path: Path, stamp: tuple[int, int], usecols: tuple[int, ...])
 
 
 def _first_bad_line(path: Path, usecols: tuple[int, ...]) -> int | str:
-    """Number of the first body line where a used column is missing or does
-    not parse as a float, as numpy's messages number rows inconsistently."""
-    with open(path, newline="") as f:
-        f.readline()
-        for number, line in enumerate(f, start=2):
-            body = line.split("#")[0]
-            if body.strip():
-                try:
+    """Number of the first line that is not UTF-8, or of the first body line
+    where a used column is missing or does not parse as a float, as numpy's
+    messages number rows inconsistently."""
+    with open(path, "rb") as f:
+        for number, line in enumerate(f, start=1):
+            try:  # a UnicodeDecodeError is a ValueError
+                body = line.decode("utf-8").split("#")[0]
+                if number > 1 and body.strip():
                     [float(body.split(",")[c]) for c in usecols]
-                except (IndexError, ValueError):
-                    return number
+            except (IndexError, ValueError):
+                return number
     return "?"
+
+
+def _not_utf8(path: Path, exc: UnicodeDecodeError) -> ValidationError:
+    """The refusal of a trace file holding a byte that is not UTF-8, which is
+    what the writer writes, naming the byte's line."""
+    return ValidationError(f"{path}, line {_first_bad_line(path, ())}: byte "
+                           f"{exc.object[exc.start]:#04x} is not UTF-8 ({exc.reason})")
 
 
 def _read_deferred(path: Path, stamp: tuple[int, int], usecols: tuple[int, ...]):

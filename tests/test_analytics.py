@@ -50,6 +50,11 @@ class TestEquivalentInertiaConstantDroop:
     def test_zero_at_onset(self):
         assert equivalent_inertia_constant_droop(32.0, T_J, 0.0) == 0.0
 
+    @pytest.mark.parametrize("k_total", [-1.0, math.nan, math.inf])
+    def test_refuses_negative_or_nonfinite_droop(self, k_total):
+        with pytest.raises(ValidationError, match="k_total must be"):
+            equivalent_inertia_constant_droop(k_total, T_J, 1.0)
+
     def test_doubling_time_identity(self):
         # exp(ln 2) - 1 = 1, so the increment equals t_j itself
         elapsed = (T_J / 32.0) * math.log(2.0)

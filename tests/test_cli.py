@@ -148,7 +148,7 @@ class TestSimulateCommand:
         path, field = UNKNOWN_FIELDS[name]
         code, err = _simulate_edited(tmp_path, capsys, path, 0.002)
         assert code == 2
-        assert err.startswith(f"error: unknown field {field}")
+        assert err.startswith(f"error: {tmp_path / 'bad.json'}: unknown field {field}")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("path, value", [(("constant_droop", "k_total_pu"), -5),
@@ -184,7 +184,17 @@ class TestSimulateCommand:
         code = run_cli("simulate", "--config", str(bad), "--out", str(tmp_path / "o"))
         err = capsys.readouterr().err
         assert code == 2
-        assert err.startswith(f"error: config.{block} must be an object")
+        assert err.startswith(f"error: {bad}: config.{block} must be an object")
+        assert "Traceback" not in err
+
+    def test_config_nested_too_deep_exits_2(self, tmp_path, capsys):
+        # the JSON parser's recursion limit, not a crash
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"model": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code = run_cli("simulate", "--config", str(deep), "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {deep}: maximum recursion depth exceeded")
         assert "Traceback" not in err
 
 

@@ -148,6 +148,12 @@ class TestGovernorSpec:
         with pytest.raises(ValidationError):
             GovernorSpec(enabled=True, time_constant=0.0)
 
+    @pytest.mark.parametrize("enabled", ["no", 1, None])
+    def test_enabled_must_be_a_bool(self, enabled):
+        # a truthy non-bool would run the governor
+        with pytest.raises(ValidationError, match="GovernorSpec.enabled must be true or false"):
+            GovernorSpec(enabled=enabled)
+
 
 def per_ffr_coefficients(model, controller, config=SimConfig(1e-2, 2.0)):
     """Each FFR's droop coefficient at every post-onset sample but the onset

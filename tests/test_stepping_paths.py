@@ -12,7 +12,13 @@ one substep, a step equal to the cap, or several.
 check_scaling_law: scaling delta_pf by 2**j scales omega, rocof and
 ffr_power bit for bit on random built-in runs (ROADMAP item 3), since the
 model is linear from a zero state and the loops do only + - * / on it.
+
+check_per_unit_base: doubling every power and inertia of a random built-in
+run, a base of half the MVA, keeps the bits of omega and rocof and doubles
+ffr_power and per_ffr_power bit for bit.
 """
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -210,3 +216,40 @@ def check_scaling_law(examples: int) -> None:
 
 def test_power_of_two_delta_pf_scales_bit_for_bit():
     check_scaling_law(EXAMPLES)
+
+
+def check_per_unit_base(examples: int) -> None:
+    """Assert, over examples derandomized draws, that each generator's
+    inertia (delta_tj included), delta_pf, the governor gain, k, the VDIC
+    schedule and each FFR's cap and optimum doubled keep the bits of omega
+    and rocof and double ffr_power and per_ffr_power bit for bit."""
+
+    @_settings(examples)
+    @given(builtin_runs())
+    def compare(run):
+        model, event, controller, config, governor = run
+        doubled = SystemModel(model.system_base,
+                              [replace(g, inertia_constant=2.0 * g.inertia_constant)
+                               for g in model.generators],
+                              [replace(f, droop_upper_bound=2.0 * f.droop_upper_bound,
+                                       droop_optimal=2.0 * f.droop_optimal)
+                               for f in model.ffrs])
+        s = getattr(controller, "schedule", None)
+        law = (Vdic(DroopSchedule(2.0 * s.target_inertia, 2.0 * s.upper_bound,
+                                  2.0 * s.lower_bound)) if s
+               else ConstantDroop(2.0 * controller.k_total))
+        base = simulate(model, event, controller, config, governor=governor)
+        scaled = simulate(doubled, replace(event, delta_pf=2.0 * event.delta_pf), law, config,
+                          governor=governor and replace(governor,
+                                                        droop_gain=2.0 * governor.droop_gain))
+        for name in ("omega", "rocof"):
+            assert np.array_equal(_bits(getattr(base, name)), _bits(getattr(scaled, name))), name
+        for name in ("ffr_power", "per_ffr_power"):
+            assert np.array_equal(_bits(2.0 * getattr(base, name)),
+                                  _bits(getattr(scaled, name))), name
+
+    compare()
+
+
+def test_per_unit_base_keeps_frequency_and_doubles_power_bit_for_bit():
+    check_per_unit_base(EXAMPLES)

@@ -237,6 +237,18 @@ class TestMalformedTraceExits2:
         with pytest.raises(ValidationError, match="line 3: t does not increase"):
             read_trace_csv(bad)
 
+    @pytest.mark.parametrize("line", [2, 500], ids=["header_read", "body_parse"])
+    def test_byte_not_utf8(self, bundled_trace, tmp_path, capsys, line):
+        # line 2 fails in the header's read, line 500 in numpy's parse
+        lines = bundled_trace.read_bytes().splitlines(keepends=True)
+        lines[line - 1] = lines[line - 1][:5] + b"\xff" + lines[line - 1][5:]
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"".join(lines))
+        assert cli.main(["estimate", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}, line {line}: byte 0xff is not UTF-8")
+        assert not (tmp_path / "o").exists()
+
     def test_wrong_fixed_header(self, bundled_trace, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         _edit(bundled_trace, bad, 1, lambda row: row.replace("rocof", "dfdt"))
