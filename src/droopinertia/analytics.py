@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .integrate import Trace, _onset_index
-from .model import _require_nonnegative
+from .integrate import Trace, _sample_at
+from .model import _require_nonnegative, _require_positive
 
 #: below this |delta_pf + delta_pr| the equivalent inertia is unbounded
 #: (regulation fully offsets the imbalance) and estimates are flagged invalid
@@ -48,7 +48,7 @@ def estimate_from_trace(trace: Trace, t_j: float, delta_pf: float) -> InertiaEst
     if delta_pf == 0.0 or not math.isfinite(delta_pf):
         raise ValidationError(f"delta_pf must be finite and nonzero, got {delta_pf}")
     t = trace.sample_times
-    i_on = _onset_index(t, trace.onset_time, trace.time_step)
+    i_on = _sample_at(t, trace.onset_time, trace.time_step)[0]
     if i_on == t.size:
         raise ValidationError("trace has no post-onset samples to estimate from")
     residual = delta_pf + trace.ffr_power
@@ -67,9 +67,9 @@ def estimate_from_trace(trace: Trace, t_j: float, delta_pf: float) -> InertiaEst
 
 
 def _elapsed(elapsed) -> np.ndarray:
-    """elapsed, scalar or array, as an array, refused if any of it is < 0."""
+    """elapsed, scalar or array, as an array, refused unless all of it is >= 0."""
     elapsed = np.asarray(elapsed)
-    if np.any(elapsed < 0.0):
+    if not np.all(elapsed >= 0.0):
         raise ValidationError("elapsed must be >= 0")
     return elapsed
 
@@ -87,6 +87,7 @@ def closed_form_omega_constant_droop(delta_pf: float, k_total: float, t_j: float
             f"k_total must be > 0 (got {k_total}); the zero-droop response is "
             "the linear constant-inertia form"
         )
+    _require_positive("t_j", t_j)
     # -expm1 keeps the small-time limit accurate
     return (delta_pf / k_total) * -np.expm1(-k_total * _elapsed(elapsed) / t_j)
 
@@ -100,6 +101,7 @@ def equivalent_inertia_constant_droop(k_total: float, t_j: float,
     independent of the imbalance by construction.
     """
     _require_nonnegative("k_total", k_total)
+    _require_positive("t_j", t_j)
     return t_j * np.expm1(k_total * _elapsed(elapsed) / t_j)
 
 
@@ -107,6 +109,7 @@ def closed_form_omega_constant_inertia(delta_pf: float, t_j: float, delta_tj: fl
                                        elapsed) -> float | np.ndarray:
     """Frequency deviation with inertia t_j + delta_tj and no regulation:
     the linear ramp delta_pf * elapsed / (t_j + delta_tj)."""
+    _require_positive("t_j", t_j)
     if t_j + delta_tj <= 0.0:
         raise ValidationError(f"t_j + delta_tj must be > 0, got {t_j + delta_tj}")
     return delta_pf * _elapsed(elapsed) / (t_j + delta_tj)

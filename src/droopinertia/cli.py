@@ -23,7 +23,7 @@ import numpy as np
 from .analytics import estimate_from_trace
 from .controllers import Vdic
 from .errors import ConfigError, SimulationDivergedError, ValidationError
-from .integrate import _onset_index
+from .integrate import _GRID_TOL, _sample_at, _sample_count
 from .scenario import (
     SUBCASES,
     ScenarioConfig,
@@ -127,25 +127,25 @@ def _cmd_design_schedule(args) -> int:
 
 def _check_provenance(trace, cfg: ScenarioConfig, path: Path) -> None:
     """Refuse a trace that cfg did not produce, naming the field: its step
-    and its onset must be cfg's within 1e-9 * dt, its row count that of
-    simulate's grid, and, for an onset on the grid, where omega is 0, its
-    rocof there must be delta_pf over the simulated total inertia exactly."""
+    must be cfg's within the grid tolerance, its row count simulate's, its
+    onset sample integrate._sample_at's for cfg's onset and, for an onset on
+    the grid, its rocof there exactly delta_pf over the simulated total inertia."""
     dt, onset, t = cfg.sim.time_step, cfg.event.onset_time, trace.sample_times
-    if abs(trace.time_step - dt) > 1e-9 * dt:
+    if abs(trace.time_step - dt) > _GRID_TOL * dt:
         raise ValidationError(f"{path}: its step {trace.time_step!r} s is not "
                               f"sim.time_step_s {dt!r} of the config")
-    rows = round(cfg.sim.duration / dt) + 1
+    rows = _sample_count(cfg.sim)
     if t.size != rows:
         raise ValidationError(f"{path}: its {t.size} rows are not the {rows} samples of "
                               f"sim.duration_s {cfg.sim.duration!r} of the config at "
                               f"sim.time_step_s {dt!r}")
-    i_on = _onset_index(t, onset, dt)
-    if i_on == t.size or abs(trace.onset_time - t[i_on]) > 1e-9 * dt:
+    i_on, on_grid = _sample_at(t, onset, dt)
+    if i_on == t.size or _sample_at(t, trace.onset_time, dt)[0] != i_on:
         raise ValidationError(f"{path}: its onset at {trace.onset_time!r} s is not "
                               f"event.onset_time_s {onset!r} of the config")
     model = _controller_for(cfg)[1]
     expected = cfg.event.delta_pf / model.total_inertia
-    if abs(t[i_on] - onset) <= 1e-9 * dt and trace.rocof[i_on] != expected:
+    if on_grid and trace.rocof[i_on] != expected:
         raise ValidationError(
             f"{path}: its rocof at the onset, {float(trace.rocof[i_on])!r}, is not "
             f"event.delta_pf_pu / total inertia of the config, {cfg.event.delta_pf!r} / "
@@ -161,10 +161,12 @@ def _cmd_estimate(args) -> int:
     out_path = args.out / "inertia_estimate.csv"
     _write_csv(out_path, "t,delta_tj,valid", [estimate.sample_times, estimate.delta_tj,
                estimate.valid_mask.astype(np.int64)], "inertia estimate CSV")
-    valid = estimate.delta_tj[estimate.valid_mask]
+    valid = np.sort(estimate.delta_tj[estimate.valid_mask])
     if valid.size:
-        print(f"valid samples: {valid.size}; median equivalent inertia "
-              f"{float(np.median(valid)):.4f} s")
+        # np.median's value, without the numpy.ma import its first call makes
+        m = valid.size // 2
+        median = valid[m] if valid.size % 2 else (valid[m - 1] + valid[m]) / 2
+        print(f"valid samples: {valid.size}; median equivalent inertia {float(median):.4f} s")
     else:
         print("no well-conditioned post-onset samples")
     print(f"wrote {out_path}")

@@ -4,7 +4,11 @@ The state is the per-unit frequency deviation omega (plus the governor lag
 output when a governor is enabled). The imbalance switches on at the event
 onset and is held constant; controllers see time elapsed since onset and
 are inert before it, so the trace is identically zero up to the onset and
-the integration starts exactly there.
+the integration starts exactly there. One rule, _sample_at, places the
+onset for every module: its sample is the first at most 1e-9 * dt
+(_GRID_TOL) before it, and the onset is on the grid, with elapsed time and
+state 0 there, if that sample is also at most that after it; else the state
+is integrated from the onset to that sample.
 
 Numerics notes, all load-bearing:
 
@@ -66,6 +70,7 @@ _ALLOCATION_CHUNK = 2048
 # once, and the substeps a block is sized to hold when a sample has several
 _PLAN_BLOCK = 1024
 _PLAN_SUBSTEPS = 8192
+_GRID_TOL = 1e-9  # a sample within this fraction of the step of a time lies at it
 
 
 @dataclass(frozen=True)
@@ -116,10 +121,16 @@ class Trace:
         return self.__dict__[name]
 
 
-def _onset_index(t: np.ndarray, onset: float, dt: float) -> int:
-    """Index of the onset sample on the uniform grid t of step dt: the first
-    sample at most 1e-9 * dt before the onset, as simulate takes it."""
-    return int(np.searchsorted(t, onset - 1e-9 * dt, side="left"))
+def _sample_at(t: np.ndarray, time: float, dt: float) -> tuple[int, bool]:
+    """(i, on_grid): i the first sample of the uniform grid t of step dt at
+    most _GRID_TOL * dt before time, t.size if none is; on_grid whether t[i]
+    is also at most that after it."""
+    i = int(np.searchsorted(t, time - _GRID_TOL * dt, side="left"))
+    return i, i < t.size and bool(t[i] <= time + _GRID_TOL * dt)
+
+
+def _sample_count(config: SimConfig) -> int:
+    return round(config.duration / config.time_step) + 1  # simulate's 0, dt, ..., duration
 
 
 def _roster_check(model: SystemModel, peak: float) -> None:
@@ -155,17 +166,15 @@ def simulate(model: SystemModel, event: ImbalanceEvent, controller: Controller,
     gov = governor if governor is not None else GovernorSpec(enabled=False)
 
     dt = config.time_step
-    steps = config.duration / dt
     try:
-        times = np.arange(round(steps) + 1) * dt
+        times = np.arange(_sample_count(config)) * dt
         omega, gov_series = np.zeros(times.size), np.zeros(times.size)
     except (MemoryError, OverflowError, ValueError) as exc:
-        raise ValidationError(f"a grid of {steps + 1:.6g} samples (sim.duration_s / "
-                              f"sim.time_step_s + 1) cannot be allocated: {exc}") from exc
+        raise ValidationError(f"a grid of {config.duration / dt + 1:.6g} samples (sim.duration_s"
+                              f" / sim.time_step_s + 1) cannot be allocated: {exc}") from exc
+    i_first, on_grid = _sample_at(times, event.onset_time, dt)
     elapsed = times - event.onset_time
-    tol = 1e-9 * dt
-    elapsed[np.abs(elapsed) <= tol] = 0.0
-    i_first = int(np.searchsorted(elapsed, 0.0, side="left"))
+    elapsed[:i_first + on_grid] = 0.0
 
     # the law over the samples; its peak is what the fleet must carry and
     # what bounds a uniform substep
@@ -192,7 +201,7 @@ def simulate(model: SystemModel, event: ImbalanceEvent, controller: Controller,
 
     loops = (((kernels.rk4_governed, kernels.rk4_governed_free) if gov.enabled
               else (kernels.rk4, kernels.rk4_free)) if rk4 else (kernels.euler, None))
-    _step_blocks(controller, plan, elapsed, i_first, *loops,
+    _step_blocks(controller, plan, elapsed, i_first + on_grid, *loops,
                  omega, gov_series, float(event.delta_pf), t_j, g, tg)
 
     finite = np.isfinite(omega) & np.isfinite(gov_series)
@@ -230,25 +239,25 @@ def _refuse_negative(controller: Controller, law: np.ndarray, elapsed: np.ndarra
                               "s after the onset")
 
 
-def _step_blocks(controller, plan, elapsed, i_first, step, free, *args):
-    """Step the state, zero at i_first, through the substeps that plan(a, b)
-    gives for the steps [a, b] of the samples after elapsed 0 (a = 0 at the
-    first), a block of samples at a time: the controller's law is evaluated
-    at once over the block's substep starts, midpoints and ends, none of
-    them negative, and state = step(zip of (sample index, h, k1, km, k4),
-    *args, state), or free(zip of (sample index, h), ...) if free is given
-    and that law is all zero (NaN is not). The sample indices are a range
-    when every step of the block is one piece, and k1, km and k4 are one
-    value repeated when the law has the same bits at every substep; else
-    each is a list, built in the call, so that none outlives its block.
+def _step_blocks(controller, plan, elapsed, first, step, free, *args):
+    """Step the state, zero at elapsed[first - 1], through the substeps that
+    plan(a, b) gives for the steps [a, b] = elapsed[i - 1:i + 1] of the
+    samples i from first on, a block of samples at a time: the controller's
+    law is evaluated at once over the block's substep starts, midpoints and
+    ends, none of them negative, and state = step(zip of (sample index, h,
+    k1, km, k4), *args, state), or free(zip of (sample index, h), ...) if
+    free is given and that law is all zero (NaN is not). The sample indices
+    are a range when every step of the block is one piece, and k1, km and k4
+    are one value repeated when the law has the same bits at every substep;
+    else each is a list, built in the call, so that none outlives its block.
     The first block is one sample, each next one _PLAN_BLOCK, or fewer if
     at the last block's substeps per sample that would exceed
     _PLAN_SUBSTEPS substeps: a stiff run plans a few at a time."""
-    first, n = int(np.searchsorted(elapsed, 0.0, side="right")), 1
+    n = 1
     state = (0.0, 0.0, 0.0, 0.0)
     while first < elapsed.size:
         b = elapsed[first:first + n]
-        a = elapsed[first - 1:first - 1 + b.size] if first > i_first else np.zeros(1)
+        a = elapsed[first - 1:first - 1 + b.size]
         owner, t0, h = plan(a, b)
         times = np.concatenate((t0, t0 + 0.5 * h, t0 + h))
         law = controller.coefficients(times)

@@ -29,7 +29,7 @@ from . import csvblock
 from .errors import ConfigError, ValidationError
 from .model import (FfrSpec, GeneratorSpec, ImbalanceEvent, SimConfig, SystemModel,
                     _require_bool, _require_label, _require_nonnegative, _require_positive)
-from .integrate import Trace, _onset_index, simulate
+from .integrate import _GRID_TOL, Trace, _sample_at, simulate
 
 SUBCASES = ("no_control", "added_inertia", "constant_droop", "vdic")
 
@@ -241,7 +241,7 @@ def run_subcase(config: ScenarioConfig) -> tuple[Trace, SummaryMetrics]:
 def _onset_window(trace: Trace) -> tuple[int, int]:
     """Indices of the onset sample and of the sample 100 ms after it."""
     t, dt = trace.sample_times, trace.time_step
-    i_on = _onset_index(t, trace.onset_time, dt)
+    i_on = _sample_at(t, trace.onset_time, dt)[0]
     if i_on >= t.size - 1:
         raise ValidationError("trace has no post-onset samples to summarize")
     return i_on, min(t.size - 1, i_on + max(1, round(0.1 / dt)))
@@ -259,7 +259,7 @@ def summarize(trace: Trace) -> SummaryMetrics:
 
     post = trace.omega[i_on:]
     k = int(np.argmin(post))
-    i_tail = int(np.searchsorted(t, 0.9 * t[-1] - 1e-9 * trace.time_step, side="left"))
+    i_tail = _sample_at(t, 0.9 * t[-1], trace.time_step)[0]
 
     return SummaryMetrics(
         initial_rocof=float(initial),
@@ -435,7 +435,7 @@ def read_trace_csv(path: str | Path) -> Trace:
     dt = t[1] - t[0]
     if not dt > 0.0:
         raise ValidationError(f"{path}, line 3: t does not increase")
-    off_grid = ~(np.abs(t - (t[0] + np.arange(t.size) * dt)) <= 1e-9 * dt)
+    off_grid = ~(np.abs(t - (t[0] + np.arange(t.size) * dt)) <= _GRID_TOL * dt)
     if off_grid.any():
         raise ValidationError(f"{path}, line {int(np.argmax(off_grid)) + 2}: t is not "
                               f"on the uniform grid of step {dt!r} set by its first two rows")

@@ -97,6 +97,32 @@ class TestClosedFormConstantInertia:
         assert closed_form_omega_constant_inertia(-0.3, T_J, 40.0, 0.0) == 0.0
 
 
+# each closed form as a function of (t_j, elapsed), the rest valid
+CLOSED_FORMS = {
+    "omega_constant_droop": lambda t_j, e: closed_form_omega_constant_droop(-0.3, 32.0, t_j, e),
+    "equivalent_inertia": lambda t_j, e: equivalent_inertia_constant_droop(32.0, t_j, e),
+    "omega_constant_inertia": lambda t_j, e: closed_form_omega_constant_inertia(
+        -0.3, t_j, 40.0, e),
+}
+
+
+@pytest.mark.parametrize("form", CLOSED_FORMS.values(), ids=CLOSED_FORMS.keys())
+class TestClosedFormsRefuseBadInput:
+    # a negative t_j gave a finite value, 21.87 s of equivalent inertia at
+    # t_j -39.2, and 0 gave NaN
+    @pytest.mark.parametrize("t_j", [-T_J, 0.0, math.nan, math.inf])
+    def test_inertia_must_be_positive(self, form, t_j):
+        with pytest.raises(ValidationError, match="t_j must be"):
+            form(t_j, 1.0)
+
+    # NaN passed the check as nan < 0 is false, and gave NaN
+    @pytest.mark.parametrize("elapsed", [-1.0, math.nan, np.array([0.0, math.nan, 1.0])],
+                             ids=["negative", "nan", "nan_in_array"])
+    def test_elapsed_must_be_nonnegative(self, form, elapsed):
+        with pytest.raises(ValidationError, match="elapsed must be >= 0"):
+            form(T_J, elapsed)
+
+
 
 @pytest.mark.parametrize("form", [
     lambda elapsed: closed_form_omega_constant_droop(-0.3, 32.0, T_J, elapsed),
@@ -173,16 +199,22 @@ class TestEstimateFromTrace:
         assert not est.valid_mask[pre].any()
         assert est.valid_mask[~pre].all()
 
-    @pytest.mark.parametrize("offset", [0.0, 5e-13, -5e-13])
+    @pytest.mark.parametrize("offset", [0.0, 5e-13, -5e-13] + [
+        sign * 1e-12 * scale for sign in (1.0, -1.0)
+        for scale in (1.0, 1.0 - 2.0 ** -52, 1.0 + 2.0 ** -52)])
     def test_simulated_trace_and_its_csv_agree(self, model, tmp_path, offset):
         # an onset within 1e-9 * dt of a sample falls on that sample, in
-        # simulate and in the onset a CSV's rocof column gives back alike
+        # simulate and in the onset a CSV's rocof column gives back alike;
+        # the offsets of 1e-9 * dt are at that bound, where the onset sample
+        # may be either neighbour, but the estimates must still agree
         event = ImbalanceEvent(-0.3, onset_time=1.0 + offset)
         trace = simulate(model, event, ConstantDroop(32.0), SimConfig(1e-3, 2.0))
         emit_trace_csv(trace, tmp_path / "trace.csv")
         est = estimate_from_trace(trace, T_J, -0.3)
         back = estimate_from_trace(read_trace_csv(tmp_path / "trace.csv"), T_J, -0.3)
-        assert est.valid_mask[1000] and not est.valid_mask[999]
+        i_on = int(np.argmax(trace.rocof != 0.0))
+        assert i_on in ((1000,) if abs(offset) < 1e-12 else (1000, 1001))
+        assert est.valid_mask[i_on] and not est.valid_mask[:i_on].any()
         assert np.array_equal(est.sample_times, back.sample_times)
         assert np.array_equal(est.delta_tj, back.delta_tj)
         assert np.array_equal(est.valid_mask, back.valid_mask)

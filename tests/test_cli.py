@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
 import weakref
 
@@ -10,8 +12,9 @@ import numpy as np
 import pytest
 
 from dataclasses import replace
+from pathlib import Path
 
-from droopinertia import cli, scenario
+from droopinertia import analytics, cli, scenario
 from droopinertia.scenario import (
     SUBCASES,
     _write_csv,
@@ -288,6 +291,27 @@ class TestEstimateCommand:
         assert window.any()
         assert np.allclose(dtj[window], 40.0, rtol=1e-4)
 
+    @pytest.mark.parametrize("duration, median", [("12", "46.0991"), ("12.001", "46.1117")])
+    def test_median_without_numpy_ma(self, tmp_path, duration, median):
+        # the printed median is np.median's, as printed before, for an odd
+        # (2001) and an even (2002) count of valid samples, and numpy.ma,
+        # which np.median imports, is never imported
+        assert run_cli("simulate", "--out", str(tmp_path), "--duration", duration) == 0
+        trace = scenario.read_trace_csv(tmp_path / "trace_vdic.csv")
+        valid = analytics.estimate_from_trace(trace, 39.2, -0.3)
+        assert f"{float(np.median(valid.delta_tj[valid.valid_mask])):.4f}" == median
+        code = ("import sys; from droopinertia import cli; code = cli.main(sys.argv[1:]); "
+                "print('numpy.ma' in sys.modules); sys.exit(code)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", code, "estimate",
+                              str(tmp_path / "trace_vdic.csv"), "--out", str(tmp_path),
+                              "--duration", duration], capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[0] == (
+            f"valid samples: {valid.valid_mask.sum()}; median equivalent inertia {median} s")
+        assert run.stdout.splitlines()[-1] == "False"
+
     def test_missing_trace_exits_2(self, tmp_path):
         code = run_cli("estimate", str(tmp_path / "nope.csv"),
                        "--out", str(tmp_path / "o"))
@@ -374,6 +398,15 @@ class TestEstimateRefusesAnotherConfigsTrace:
         assert run_cli("simulate", "--config", self._config(tmp_path, edit),
                        "--out", str(tmp_path / "s"), *self.SHORT) == 0
         assert self._estimate(tmp_path, tmp_path / "s" / "trace_vdic.csv", edit) == 0
+
+    def test_onset_at_the_grid_tolerance_accepts_its_trace(self, tmp_path):
+        # fl(10.0 - 10.000000000001) is -1.0000889e-12, just past 1e-9 * dt at
+        # dt 1 ms: simulate put the onset at 10.001 s and estimate, by another
+        # rule, expected it at 10.0 s, and refused the trace
+        config = self._config(tmp_path, lambda d: d["event"].update(onset_time_s=10.000000000001))
+        for argv in (("simulate",), ("estimate", str(tmp_path / "trace_vdic.csv"))):
+            assert run_cli(*argv, "--config", config, "--out", str(tmp_path),
+                           "--duration", "12") == 0
 
 
 class TestDivergenceExitCode:

@@ -63,11 +63,15 @@ class Steps(Controller):
 
 
 def _elapsed(n, dt, onset):
-    """The samples' elapsed times and the first at or after the onset, as
-    simulate computes them."""
-    elapsed = np.arange(n) * dt - onset
-    elapsed[np.abs(elapsed) <= 1e-9 * dt] = 0.0
-    return elapsed, int(np.searchsorted(elapsed, 0.0, side="left"))
+    """The samples' elapsed times and the onset sample, as simulate takes
+    them: the onset sample is the first at most 1e-9 * dt before the onset,
+    and its elapsed time is 0 if it is also at most that after it."""
+    t = np.arange(n) * dt
+    first = int(np.searchsorted(t, onset - 1e-9 * dt, side="left"))
+    elapsed = t - onset
+    if first < n and t[first] <= onset + 1e-9 * dt:
+        elapsed[first] = 0.0
+    return elapsed, first
 
 
 # samples after the onset, and the offsets from the first one of the
