@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .integrate import Trace, _sample_at
-from .model import _require_nonnegative, _require_positive
+from .model import _require_finite, _require_nonnegative, _require_positive
 
 #: below this |delta_pf + delta_pr| the equivalent inertia is unbounded
 #: (regulation fully offsets the imbalance) and estimates are flagged invalid
@@ -82,11 +82,8 @@ def closed_form_omega_constant_droop(delta_pf: float, k_total: float, t_j: float
     Accepts scalar or array elapsed. For k_total = 0 use
     closed_form_omega_constant_inertia with delta_tj = 0 instead.
     """
-    if k_total <= 0.0:
-        raise ValidationError(
-            f"k_total must be > 0 (got {k_total}); the zero-droop response is "
-            "the linear constant-inertia form"
-        )
+    _require_finite("delta_pf", delta_pf)
+    _require_positive("k_total", k_total)
     _require_positive("t_j", t_j)
     # -expm1 keeps the small-time limit accurate
     return (delta_pf / k_total) * -np.expm1(-k_total * _elapsed(elapsed) / t_j)
@@ -109,7 +106,7 @@ def closed_form_omega_constant_inertia(delta_pf: float, t_j: float, delta_tj: fl
                                        elapsed) -> float | np.ndarray:
     """Frequency deviation with inertia t_j + delta_tj and no regulation:
     the linear ramp delta_pf * elapsed / (t_j + delta_tj)."""
+    _require_finite("delta_pf", delta_pf)
     _require_positive("t_j", t_j)
-    if t_j + delta_tj <= 0.0:
-        raise ValidationError(f"t_j + delta_tj must be > 0, got {t_j + delta_tj}")
+    _require_positive("t_j + delta_tj", t_j + _require_finite("delta_tj", delta_tj))
     return delta_pf * _elapsed(elapsed) / (t_j + delta_tj)

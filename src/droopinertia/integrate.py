@@ -21,15 +21,16 @@ Numerics notes, all load-bearing:
   its two clamp crossovers. Inside an output step the integrator cuts
   pieces at the crossovers and, while in the 1/t band, limits each internal
   substep to a fixed fraction of elapsed time (geometric refinement toward
-  the onset). Output samples stay on the uniform grid; the refinement is a
-  deterministic function of the law's pieces only. Any other law splits an
-  output step into equal substeps with k*h/t_j within the integrator's
-  stability bound, k the law's peak over the samples.
+  the onset, so the band must start after it). Output samples stay on the
+  uniform grid; the refinement is a deterministic function of the law's
+  pieces only. Any other law splits an output step into equal substeps.
+  Every cap but the band's is one rule, _cap: h <= c*t_j/k, none at k = 0,
+  for k the saturated value, the floor or the law's peak over the samples.
 * Every controller takes one path: plan, evaluate, step. For a block of
   output samples numpy plans the substeps (_vdic_plan for a law whose
   segments() are saturated, 1/t band and floor, as a Vdic's are, the last
-  unfinished step in scalar form; else _uniform_plan), the law is
-  evaluated over their starts, midpoints and ends, and a loop of the
+  unfinished step in scalar form; else _uniform_plan), _checked_law
+  evaluates the law over their starts, midpoints and ends, and a loop of the
   kernels module steps the state through them: RK4 with the governor off
   or on, or Euler; a block whose law is all zero takes the RK4 loop's free
   twin, with the same bits. A block hands its loop no list it does not
@@ -37,7 +38,7 @@ Numerics notes, all load-bearing:
   samples of such steps are a range, and a law with the same bits at every
   substep is one value repeated. A subclass that keeps a built-in's law
   gets its bits; tests pin the sha256 of the output bits. droop_active is
-  the same law over the samples.
+  the same law, checked alike, over the samples.
 * A non-finite state is reported as the first non-finite output sample.
 * The fleet's split of the law, per_ffr_power, is allocated on its first
   read, from the trace's own omega and droop_active; simulate checks only
@@ -169,7 +170,7 @@ def simulate(model: SystemModel, event: ImbalanceEvent, controller: Controller,
     try:
         times = np.arange(_sample_count(config)) * dt
         omega, gov_series = np.zeros(times.size), np.zeros(times.size)
-    except (MemoryError, OverflowError, ValueError) as exc:
+    except (MemoryError, ValueError) as exc:
         raise ValidationError(f"a grid of {config.duration / dt + 1:.6g} samples (sim.duration_s"
                               f" / sim.time_step_s + 1) cannot be allocated: {exc}") from exc
     i_first, on_grid = _sample_at(times, event.onset_time, dt)
@@ -191,10 +192,13 @@ def simulate(model: SystemModel, event: ImbalanceEvent, controller: Controller,
     pieces = controller.segments()
     if tuple(kind for _, _, kind, _ in pieces) == ("constant", "inverse", "constant"):
         (_, t_sat, _, upper), (_, t_floor, _, _), (_, _, _, lower) = pieces
-        plan = partial(_vdic_plan, t_sat, t_floor, _SAT_STEP_LIMIT * t_j / upper,
-                       stability * t_j / lower, _BAND_STEP_FRACTION)
+        if not 0.0 < t_sat <= t_floor:
+            raise ValidationError(f"{type(controller).__name__}.segments must start the 1/t band "
+                                  f"after the onset and by its end, got {t_sat!r} to {t_floor!r}")
+        plan = partial(_vdic_plan, t_sat, t_floor, _cap(_SAT_STEP_LIMIT, t_j, upper),
+                       _cap(stability, t_j, lower), _BAND_STEP_FRACTION)
     else:
-        plan = partial(_uniform_plan, stability * t_j / peak if peak > 0.0 else math.inf)
+        plan = partial(_uniform_plan, _cap(stability, t_j, peak))
     # imported here so that commands which never integrate, such as
     # estimate, do not compile the loops at start-up
     from . import kernels
@@ -216,7 +220,9 @@ def simulate(model: SystemModel, event: ImbalanceEvent, controller: Controller,
 
 def _checked_law(controller: Controller, elapsed: np.ndarray) -> np.ndarray:
     """controller.coefficients(elapsed), once it is a float ndarray of
-    elapsed's shape with no negative value (NaN passes, and diverges)."""
+    elapsed's shape with no negative value (NaN passes, and diverges); else
+    ValidationError naming the controller, and the earliest elapsed time of
+    a negative value."""
     law = controller.coefficients(elapsed)
     name = type(controller).__name__
     if not (isinstance(law, np.ndarray) and law.dtype.kind == "f"
@@ -224,19 +230,17 @@ def _checked_law(controller: Controller, elapsed: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"{name}.coefficients must return a float ndarray of shape {elapsed.shape}, "
             f"got {type(law).__name__} of shape {np.asarray(law, dtype=object).shape}")
-    _refuse_negative(controller, law, elapsed)
-    return law
-
-
-def _refuse_negative(controller: Controller, law: np.ndarray, elapsed: np.ndarray) -> None:
-    """Raise ValidationError naming the earliest elapsed time where law, the
-    controller's coefficients there, is negative."""
     negative = np.flatnonzero(law < 0.0)
     if negative.size:
         j = negative[np.argmin(elapsed[negative])]
-        raise ValidationError(f"{type(controller).__name__}.coefficients is negative "
-                              f"({float(law[j])!r}) at elapsed time {float(elapsed[j])!r} "
-                              "s after the onset")
+        raise ValidationError(f"{name}.coefficients is negative ({float(law[j])!r}) at "
+                              f"elapsed time {float(elapsed[j])!r} s after the onset")
+    return law
+
+
+def _cap(c: float, t_j: float, k: float) -> float:
+    """The longest substep, c * t_j / k, for a coefficient k; unbounded at k = 0."""
+    return c * t_j / k if k > 0.0 else math.inf
 
 
 def _step_blocks(controller, plan, elapsed, first, step, free, *args):
@@ -244,7 +248,7 @@ def _step_blocks(controller, plan, elapsed, first, step, free, *args):
     plan(a, b) gives for the steps [a, b] = elapsed[i - 1:i + 1] of the
     samples i from first on, a block of samples at a time: the controller's
     law is evaluated at once over the block's substep starts, midpoints and
-    ends, none of them negative, and state = step(zip of (sample index, h,
+    ends, by _checked_law, and state = step(zip of (sample index, h,
     k1, km, k4), *args, state), or free(zip of (sample index, h), ...) if
     free is given and that law is all zero (NaN is not). The sample indices
     are a range when every step of the block is one piece, and k1, km and k4
@@ -259,9 +263,7 @@ def _step_blocks(controller, plan, elapsed, first, step, free, *args):
         b = elapsed[first:first + n]
         a = elapsed[first - 1:first - 1 + b.size]
         owner, t0, h = plan(a, b)
-        times = np.concatenate((t0, t0 + 0.5 * h, t0 + h))
-        law = controller.coefficients(times)
-        _refuse_negative(controller, law, times)
+        law = _checked_law(controller, np.concatenate((t0, t0 + 0.5 * h, t0 + h)))
         i = range(first, first + b.size) if h.size == b.size else (owner + first).tolist()
         if free is not None and not law.any():
             state = free(zip(i, h.tolist()), *args, state)

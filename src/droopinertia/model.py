@@ -181,8 +181,9 @@ class SimConfig:
                 f"SimConfig.time_step ({self.time_step}) must be <= duration/10 "
                 f"({self.duration / 10.0})"
             )
-        steps = self.duration / self.time_step
-        if math.isfinite(steps) and abs(steps - round(steps)) > 1e-9 * steps:
+        steps = _require_finite(f"SimConfig.duration / SimConfig.time_step ({self.duration} / "
+                                f"{self.time_step})", self.duration / self.time_step)
+        if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValidationError(f"SimConfig.duration ({self.duration}) must be a whole "
                                   f"multiple of SimConfig.time_step ({self.time_step})")
         if self.integrator not in ("rk4", "euler"):

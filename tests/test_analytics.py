@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ class TestClosedFormConstantDroop:
         assert got == pytest.approx(expected, rel=1e-14)
 
     def test_zero_droop_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="k_total must be"):
             closed_form_omega_constant_droop(-0.3, 0.0, T_J, 1.0)
 
 
@@ -97,12 +98,14 @@ class TestClosedFormConstantInertia:
         assert closed_form_omega_constant_inertia(-0.3, T_J, 40.0, 0.0) == 0.0
 
 
-# each closed form as a function of (t_j, elapsed), the rest valid
+# each closed form with valid inputs, any of which a test overrides by name
 CLOSED_FORMS = {
-    "omega_constant_droop": lambda t_j, e: closed_form_omega_constant_droop(-0.3, 32.0, t_j, e),
-    "equivalent_inertia": lambda t_j, e: equivalent_inertia_constant_droop(32.0, t_j, e),
-    "omega_constant_inertia": lambda t_j, e: closed_form_omega_constant_inertia(
-        -0.3, t_j, 40.0, e),
+    "omega_constant_droop": partial(closed_form_omega_constant_droop, delta_pf=-0.3,
+                                    k_total=32.0, t_j=T_J, elapsed=1.0),
+    "equivalent_inertia": partial(equivalent_inertia_constant_droop, k_total=32.0, t_j=T_J,
+                                  elapsed=1.0),
+    "omega_constant_inertia": partial(closed_form_omega_constant_inertia, delta_pf=-0.3,
+                                      t_j=T_J, delta_tj=40.0, elapsed=1.0),
 }
 
 
@@ -113,14 +116,21 @@ class TestClosedFormsRefuseBadInput:
     @pytest.mark.parametrize("t_j", [-T_J, 0.0, math.nan, math.inf])
     def test_inertia_must_be_positive(self, form, t_j):
         with pytest.raises(ValidationError, match="t_j must be"):
-            form(t_j, 1.0)
+            form(t_j=t_j)
+
+    # a NaN k_total, delta_tj or delta_pf passed the checks, and gave NaN
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_other_inputs_must_be_finite(self, form, value):
+        for name in form.keywords.keys() - {"t_j", "elapsed"}:
+            with pytest.raises(ValidationError, match=f"^{name} must be"):
+                form(**{name: value})
 
     # NaN passed the check as nan < 0 is false, and gave NaN
     @pytest.mark.parametrize("elapsed", [-1.0, math.nan, np.array([0.0, math.nan, 1.0])],
                              ids=["negative", "nan", "nan_in_array"])
     def test_elapsed_must_be_nonnegative(self, form, elapsed):
         with pytest.raises(ValidationError, match="elapsed must be >= 0"):
-            form(T_J, elapsed)
+            form(elapsed=elapsed)
 
 
 

@@ -317,6 +317,16 @@ class TestEstimateCommand:
                        "--out", str(tmp_path / "o"))
         assert code == 2
 
+    def test_sample_count_overflow_exits_2(self, tmp_path, capsys):
+        # 1e308 / 1e-300 is inf: with the trace's step matching --dt, the
+        # row count round(inf) + 1 raised OverflowError, a traceback
+        trace = tmp_path / "tiny.csv"
+        trace.write_text("t,omega,rocof,ffr_power,droop_active\n"
+                         + "".join(f"{i * 1e-300!r},0.0,0.0,0.0,0.0\n" for i in range(3)))
+        assert run_cli("estimate", str(trace), "--out", str(tmp_path / "o"),
+                       "--dt", "1e-300", "--duration", "1e308") == 2
+        assert "SimConfig.duration / SimConfig.time_step" in capsys.readouterr().err
+
 
 class TestEstimateRefusesAnotherConfigsTrace:
     """estimate exits 2, naming the field, when the trace's step, onset or

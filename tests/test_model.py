@@ -124,6 +124,13 @@ class TestSimConfig:
         assert SimConfig(time_step=0.1, duration=3.3).duration == 3.3
         assert SimConfig(time_step=0.03, duration=0.9).duration == 0.9
 
+    def test_sample_count_must_be_finite(self):
+        # 60 / 1e-320 overflows to inf, whose round() raised OverflowError
+        with pytest.raises(ValidationError, match=r"SimConfig\.duration / "
+                                                  r"SimConfig\.time_step \(60\.0 / 1e-320\) "
+                                                  r"must be a finite number, got inf"):
+            SimConfig(1e-320, 60.0)
+
     def test_unknown_integrator_rejected(self):
         with pytest.raises(ValidationError):
             SimConfig(integrator="rk45")

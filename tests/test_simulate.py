@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import math
 import pickle
 from dataclasses import replace
 
@@ -252,15 +253,33 @@ class TestValidation:
                                                   r"\(-1\.0\) at elapsed time 0\.005 s"):
             simulate(model, event, _Law(law), SimConfig(1e-2, 10.0))
 
+    @pytest.mark.parametrize("malformed", [lambda k: k[:-3], lambda k: np.concatenate((k, k[:3])),
+                                           lambda k: k.tolist()], ids=["short", "long", "list"])
+    def test_law_malformed_between_samples_rejected(self, model, event, malformed):
+        # 8 + min(t, 1), right over the 1001 samples and malformed over the
+        # substeps: short ran with the last substep of each block dropped,
+        # long gave a finite wrong trace, and the list a TypeError
+        def law(e):
+            k = 8.0 + np.minimum(e, 1.0)
+            return k if e.size == 1001 else malformed(k)
+
+        with pytest.raises(ValidationError, match=r"_Law\.coefficients must return a float "
+                                                  r"ndarray of shape \(3,\), got"):
+            simulate(model, event, _Law(law), SimConfig(1e-2, 10.0))
+
 
 class _Law(Controller):
-    """A custom controller whose coefficients are whatever law returns."""
+    """A custom controller whose coefficients are whatever law returns, and
+    whose segments are pieces."""
 
-    def __init__(self, law):
-        self.law = law
+    def __init__(self, law, pieces=()):
+        self.law, self.pieces = law, pieces
 
     def coefficients(self, elapsed):
         return self.law(elapsed)
+
+    def segments(self):
+        return self.pieces
 
 
 class _PoisonController(Controller):
@@ -581,6 +600,35 @@ class TestPiecesPickThePlan:
         assert _same_bits(opaque.omega, plain.omega)
         assert _same_bits(opaque.rocof, plain.rocof)
         assert (_sha256(opaque.omega), _sha256(opaque.rocof)) != GOLDEN[name]
+
+    def test_band_without_a_floor(self, model, event):
+        # min(128, 40/t), VDIC with no floor, in the three pieces of the VDIC
+        # plan: the floor piece, of coefficient 0, has no cap (its cap was a
+        # division by 0)
+        law = _Law(_clamped(40.0, 0.0, 128.0), ((0.0, 0.3125, "constant", 128.0),
+                                                (0.3125, math.inf, "inverse", 40.0),
+                                                (math.inf, math.inf, "constant", 0.0)))
+        coarse = simulate(model, event, law, SimConfig(1e-3, 10.0))
+        fine = simulate(model, event, law, SimConfig(1e-4, 10.0))
+        assert np.abs(coarse.omega - fine.omega[::10]).max() < 1e-12
+
+    @pytest.mark.parametrize("start", [0.0, math.nan])
+    def test_band_from_the_onset_rejected(self, model, event, start):
+        # a band piece from 0 planned substeps of 0 s there, forever
+        pieces = ((0.0, start, "constant", 128.0), (start, 1.25, "inverse", 40.0),
+                  (1.25, math.inf, "constant", 32.0))
+        with pytest.raises(ValidationError, match=r"_Law\.segments must start the 1/t band "
+                                                  r"after the onset"):
+            simulate(model, event, _Law(_clamped(40.0, 32.0, 128.0), pieces),
+                     SimConfig(1e-2, 10.0))
+
+
+def _clamped(target: float, lower: float, upper: float):
+    """The law clamp(target / t, lower, upper), upper at t = 0."""
+    def law(e):
+        with np.errstate(divide="ignore"):
+            return np.where(e > 0.0, np.clip(target / e, lower, upper), upper)
+    return law
 
 
 class _Half(ConstantDroop):
